@@ -47,7 +47,6 @@ use crate::bytecode::{pack_scalar, AluOp, CmpOp, CompiledProgram, Instr};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
     /// The unfused baseline instruction stream straight out of `lower`.
-    #[default]
     Baseline,
     /// The superinstruction stream produced by [`fuse_program`].
     Super,
@@ -55,12 +54,15 @@ pub enum ExecTier {
     /// ([`crate::native::lower_native`]): straight-line runs execute as
     /// pre-decoded micro-op arrays with no per-instruction dispatch,
     /// deopting to the interpreter at the same seams the fused opcodes
-    /// use.
+    /// use. The shipped default: the fastest tier on every measured
+    /// workload, and observationally identical to the other two.
+    #[default]
     Native,
 }
 
 /// Environment variable selecting the session-default tier
-/// (`baseline`, `super`, or `native`; unset means baseline).
+/// (`baseline`, `super`, or `native`; unset means
+/// [`ExecTier::default`]).
 pub const EXEC_TIER_ENV: &str = "FOC_EXEC_TIER";
 
 impl ExecTier {
@@ -85,7 +87,8 @@ impl ExecTier {
         }
     }
 
-    /// The session default from `FOC_EXEC_TIER`; unset means baseline.
+    /// The session default from `FOC_EXEC_TIER`; unset means
+    /// [`ExecTier::default`].
     /// An unknown value is a configuration error: the process exits with
     /// a one-line diagnostic listing the valid tiers rather than
     /// silently running a different tier than the operator asked for.
@@ -97,7 +100,7 @@ impl ExecTier {
                 eprintln!("{EXEC_TIER_ENV}: {e}");
                 std::process::exit(2);
             }),
-            Err(_) => ExecTier::Baseline,
+            Err(_) => ExecTier::default(),
         })
     }
 }
@@ -119,15 +122,15 @@ impl std::str::FromStr for ExecTier {
     }
 }
 
-/// Runs the fusion pass over every function of a program, returning the
-/// fused copy. The input program is left untouched (the baseline image
-/// may already be shared).
-pub fn fuse_program(program: &CompiledProgram) -> CompiledProgram {
-    let mut fused = program.clone();
-    for func in &mut fused.funcs {
+/// Runs the fusion pass over every function of a program, rewriting it
+/// in place (fusion never changes code length, so no function is
+/// reallocated). Callers that still need the unfused stream fuse a
+/// clone.
+pub fn fuse_program(mut program: CompiledProgram) -> CompiledProgram {
+    for func in &mut program.funcs {
         fuse_code(&mut func.code);
     }
-    fused
+    program
 }
 
 /// Fuses one function's code in place. Scanning is greedy left-to-right,
@@ -415,7 +418,7 @@ mod tests {
 
     fn fused_main(source: &str) -> Vec<Instr> {
         let program = compile_source(source).expect("compiles");
-        let fused = fuse_program(&program);
+        let fused = fuse_program(program);
         let idx = fused.func_index("main").unwrap() as usize;
         fused.funcs[idx].code.clone()
     }
@@ -454,7 +457,7 @@ mod tests {
              int main() { return 0; }",
         )
         .unwrap();
-        let fused = fuse_program(&program);
+        let fused = fuse_program(program.clone());
         for (f, g) in program.funcs.iter().zip(&fused.funcs) {
             assert_eq!(f.code.len(), g.code.len(), "{}: length changed", f.name);
             for (i, (a, b)) in f.code.iter().zip(&g.code).enumerate() {

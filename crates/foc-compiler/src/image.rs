@@ -19,7 +19,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::bytecode::CompiledProgram;
 use crate::native::NativeProgram;
@@ -65,22 +65,28 @@ impl fmt::Display for ProgramId {
 /// Cloning is an `Arc` bump — the whole point. `Deref`s to
 /// [`CompiledProgram`], so existing read paths (`image.funcs`,
 /// `image.func_index(..)`) work unchanged.
+///
+/// The id is computed on the first [`ProgramImage::id`] call and shared
+/// by every clone: nothing on the compile → boot → serve path reads it
+/// (caches are keyed by server kind and tier), so hashing the whole
+/// artifact — over 100 KiB of global images for the mail servers — is
+/// paid only by the callers that name an image by content.
 #[derive(Debug, Clone)]
 pub struct ProgramImage {
-    id: ProgramId,
-    program: Arc<CompiledProgram>,
-    native: Option<Arc<NativeProgram>>,
+    inner: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    program: CompiledProgram,
+    native: Option<NativeProgram>,
+    id: OnceLock<ProgramId>,
 }
 
 impl ProgramImage {
-    /// Wraps a freshly compiled program, computing its content id once.
+    /// Wraps a freshly compiled program.
     pub fn new(program: CompiledProgram) -> ProgramImage {
-        let id = ProgramId::of(&program);
-        ProgramImage {
-            id,
-            program: Arc::new(program),
-            native: None,
-        }
+        ProgramImage::wrap(program, None)
     }
 
     /// Wraps a fused program together with its native-tier artifact.
@@ -89,33 +95,42 @@ impl ProgramImage {
     /// cache; the artifact itself rides the `Arc` through machine
     /// clones and checkpoint restores.
     pub fn with_native(program: CompiledProgram, native: NativeProgram) -> ProgramImage {
-        let id = ProgramId::of_tagged(&program, "native");
+        ProgramImage::wrap(program, Some(native))
+    }
+
+    fn wrap(program: CompiledProgram, native: Option<NativeProgram>) -> ProgramImage {
         ProgramImage {
-            id,
-            program: Arc::new(program),
-            native: Some(Arc::new(native)),
+            inner: Arc::new(Shared {
+                program,
+                native,
+                id: OnceLock::new(),
+            }),
         }
     }
 
-    /// The stable content id.
+    /// The stable content id, hashed on first use.
     pub fn id(&self) -> ProgramId {
-        self.id
+        let shared = &*self.inner;
+        *shared.id.get_or_init(|| match shared.native {
+            Some(_) => ProgramId::of_tagged(&shared.program, "native"),
+            None => ProgramId::of(&shared.program),
+        })
     }
 
     /// The underlying program.
     pub fn program(&self) -> &CompiledProgram {
-        &self.program
+        &self.inner.program
     }
 
     /// The native-tier artifact, when this image was lowered for
     /// `ExecTier::Native`.
     pub fn native(&self) -> Option<&NativeProgram> {
-        self.native.as_deref()
+        self.inner.native.as_ref()
     }
 
     /// How many machines/caches currently share this image (diagnostic).
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.program)
+        Arc::strong_count(&self.inner)
     }
 }
 
@@ -123,13 +138,13 @@ impl Deref for ProgramImage {
     type Target = CompiledProgram;
 
     fn deref(&self) -> &CompiledProgram {
-        &self.program
+        &self.inner.program
     }
 }
 
 impl PartialEq for ProgramImage {
     fn eq(&self, other: &ProgramImage) -> bool {
-        self.id == other.id
+        Arc::ptr_eq(&self.inner, &other.inner) || self.id() == other.id()
     }
 }
 

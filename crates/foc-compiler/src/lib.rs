@@ -36,7 +36,7 @@ pub use native::{lower_native, NativeProgram};
 /// Convenience: front end plus lowering in one call.
 pub fn compile_source(source: &str) -> Result<CompiledProgram, String> {
     let program = foc_lang::frontend(source).map_err(|e| e.to_string())?;
-    compile(&program).map_err(|e| e.to_string())
+    compile(program).map_err(|e| e.to_string())
 }
 
 /// Compiles source straight into a shareable [`ProgramImage`] — the
@@ -55,9 +55,9 @@ pub fn compile_image_tier(source: &str, tier: ExecTier) -> Result<ProgramImage, 
     let program = compile_source(source)?;
     Ok(match tier {
         ExecTier::Baseline => ProgramImage::new(program),
-        ExecTier::Super => ProgramImage::new(fuse_program(&program)),
+        ExecTier::Super => ProgramImage::new(fuse_program(program)),
         ExecTier::Native => {
-            let fused = fuse_program(&program);
+            let fused = fuse_program(program);
             let native = lower_native(&fused.funcs);
             ProgramImage::with_native(fused, native)
         }

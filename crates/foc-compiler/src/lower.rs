@@ -25,26 +25,35 @@ impl fmt::Display for CompileError {
     }
 }
 
-/// Compiles a type-checked program to bytecode.
-pub fn compile(program: &hir::Program) -> Result<CompiledProgram, CompileError> {
-    let mut out = CompiledProgram {
-        funcs: Vec::new(),
-        globals: Vec::new(),
-        strings: program.strings.clone(),
-    };
-    for g in &program.globals {
-        let size = program.layouts.size_of(&g.ty);
-        out.globals.push(GlobalImage {
-            name: g.name.clone(),
-            size,
-            init: g.init.clone(),
+/// Compiles a type-checked program to bytecode. Takes the program by
+/// value so global images and interned strings move into the compiled
+/// artifact instead of being copied (the mail servers' globals exceed
+/// 100 KiB).
+pub fn compile(program: hir::Program) -> Result<CompiledProgram, CompileError> {
+    let hir::Program {
+        layouts,
+        globals,
+        strings,
+        funcs,
+    } = program;
+    let globals = globals
+        .into_iter()
+        .map(|g| GlobalImage {
+            size: layouts.size_of(&g.ty),
+            name: g.name,
+            init: g.init,
             relocs: g.relocs.iter().map(|&(o, s)| (o, s.0)).collect(),
-        });
-    }
-    for f in &program.funcs {
-        out.funcs.push(compile_func(f, &program.layouts)?);
-    }
-    Ok(out)
+        })
+        .collect();
+    let funcs = funcs
+        .iter()
+        .map(|f| compile_func(f, &layouts))
+        .collect::<Result<_, _>>()?;
+    Ok(CompiledProgram {
+        funcs,
+        globals,
+        strings,
+    })
 }
 
 fn frame_layout(f: &hir::Function, layouts: &Layouts) -> FrameLayout {

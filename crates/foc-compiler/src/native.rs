@@ -58,7 +58,7 @@ pub struct NativeProgram {
 pub struct NativeFunc {
     /// `entry[pc]` is the region starting at `pc`, or [`NO_REGION`].
     pub entry: Vec<u32>,
-    /// The regions, in discovery order.
+    /// The regions, in order of their entry pcs.
     pub regions: Vec<NativeRegion>,
 }
 
@@ -618,107 +618,73 @@ pub enum Term {
 /// fused opcodes as single micro-ops and relies on their layout
 /// preservation for mid-pattern entries).
 pub fn lower_native(funcs: &[CompiledFunc]) -> NativeProgram {
+    let mut scratch = Scratch::default();
     NativeProgram {
-        funcs: funcs.iter().map(|f| lower_func(&f.code)).collect(),
+        funcs: funcs
+            .iter()
+            .map(|f| lower_func(&f.code, &mut scratch))
+            .collect(),
     }
 }
 
-/// The instruction span a fused opcode covers (1 for plain instrs).
-fn span(instr: Instr) -> usize {
-    match instr {
-        Instr::FusedCmpJump { .. } => 5,
-        Instr::FusedLocalIdxLoad { .. } | Instr::FusedLocalIdxStore { .. } => 4,
-        Instr::FusedLoadIdxAccum { .. } => 9,
-        Instr::FusedIncLocal { len, .. } => len as usize,
-        Instr::FusedIncJump { len, .. } => len as usize,
-        Instr::FusedConstAlu { .. } => 2,
-        Instr::FusedStoreLocalPop { .. } => 3,
-        Instr::FusedLoadLoad { .. } => 2,
-        _ => 1,
+/// Working buffers reused across every function and region of one
+/// lowering: the artifact's arrays are built here and copied out at
+/// their exact sizes, so the pass allocates only what the artifact
+/// keeps.
+#[derive(Default)]
+struct Scratch {
+    /// Leader flags of the current function.
+    leader: Vec<bool>,
+    /// The current region's micro-ops before [`group_locals`].
+    ops: Vec<NOp>,
+    /// The current region's micro-ops after [`group_locals`].
+    grouped: Vec<NOp>,
+    /// The current block's register ops (see [`lower_locals`]).
+    rops: Vec<ROp>,
+    /// The current function's regions.
+    regions: Vec<NativeRegion>,
+}
+
+/// Marks `pc` as a leader (a region entry point).
+fn note_leader(leader: &mut [bool], pc: u32) {
+    if let Some(slot) = leader.get_mut(pc as usize) {
+        *slot = true;
     }
 }
 
-fn cmp_op_of(instr: Instr) -> Option<CmpOp> {
-    Some(match instr {
-        Instr::Eq => CmpOp::Eq,
-        Instr::Ne => CmpOp::Ne,
-        Instr::LtS => CmpOp::LtS,
-        Instr::LtU => CmpOp::LtU,
-        Instr::LeS => CmpOp::LeS,
-        Instr::LeU => CmpOp::LeU,
-        Instr::GtS => CmpOp::GtS,
-        Instr::GtU => CmpOp::GtU,
-        Instr::GeS => CmpOp::GeS,
-        Instr::GeU => CmpOp::GeU,
-        _ => return None,
-    })
-}
-
-fn alu_op_of(instr: Instr) -> Option<AluOp> {
-    Some(match instr {
-        Instr::Add => AluOp::Add,
-        Instr::Sub => AluOp::Sub,
-        Instr::Mul => AluOp::Mul,
-        Instr::And => AluOp::And,
-        Instr::Or => AluOp::Or,
-        Instr::Xor => AluOp::Xor,
-        Instr::Shl => AluOp::Shl,
-        Instr::ShrS => AluOp::ShrS,
-        Instr::ShrU => AluOp::ShrU,
-        _ => return None,
-    })
-}
-
-/// Whether the instruction forces a drop to the interpreter (frame and
-/// builtin machinery the region executor does not replicate).
-fn is_breaker(instr: Instr) -> bool {
-    matches!(instr, Instr::Call(_) | Instr::CallBuiltin(_) | Instr::Ret)
-}
-
-/// Marks `pc` as a leader and queues it for region construction.
-fn note_leader(code_len: usize, leader: &mut [bool], work: &mut Vec<u32>, pc: u32) {
-    if (pc as usize) < code_len && !leader[pc as usize] {
-        leader[pc as usize] = true;
-        work.push(pc);
-    }
-}
-
-fn lower_func(code: &[Instr]) -> NativeFunc {
+fn lower_func(code: &[Instr], scratch: &mut Scratch) -> NativeFunc {
     // Pass 1 — leaders: function entry plus every branch target named
     // anywhere in the stream. Tail slots of fused patterns keep their
     // original jump instructions and are reachable through mid-pattern
     // entries, so every slot is scanned; the result is a conservative
     // superset of the live entry points, which only ever adds regions.
-    let mut leader = vec![false; code.len()];
-    let mut work: Vec<u32> = Vec::new();
-    if !code.is_empty() {
-        leader[0] = true;
-        work.push(0);
-    }
+    scratch.leader.clear();
+    scratch.leader.resize(code.len(), false);
+    note_leader(&mut scratch.leader, 0);
     for &instr in code {
         match instr {
-            Instr::Jump(t) | Instr::JumpIfZero(t) | Instr::JumpIfNotZero(t) => {
-                note_leader(code.len(), &mut leader, &mut work, t)
-            }
-            Instr::FusedCmpJump { target, .. } | Instr::FusedIncJump { target, .. } => {
-                note_leader(code.len(), &mut leader, &mut work, target)
-            }
+            Instr::Jump(t)
+            | Instr::JumpIfZero(t)
+            | Instr::JumpIfNotZero(t)
+            | Instr::FusedCmpJump { target: t, .. }
+            | Instr::FusedIncJump { target: t, .. } => note_leader(&mut scratch.leader, t),
             _ => {}
         }
     }
 
-    // Pass 2 — build one region per leader. Fall-through successors of
-    // conditional terminators and post-call resume points become new
-    // leaders as they are discovered; no region ever crosses them (both
-    // always follow a terminator/breaker, and no fused span contains
-    // one), so late discovery cannot invalidate an earlier region.
+    // Pass 2 — one region per leader, in pc order. Fall-through
+    // successors of conditional terminators and post-call resume points
+    // become leaders as the region ending just before them is built, so
+    // the sweep always finds them flagged; no region ever crosses one
+    // (both always follow a terminator/breaker, and no fused span
+    // contains one), so late discovery cannot invalidate an earlier
+    // region.
     let mut entry = vec![NO_REGION; code.len()];
-    let mut regions: Vec<NativeRegion> = Vec::new();
-    while let Some(start) = work.pop() {
-        if entry[start as usize] != NO_REGION {
+    for start in 0..code.len() as u32 {
+        if !scratch.leader[start as usize] {
             continue;
         }
-        let region = build_region(code, start, &mut leader, &mut work);
+        let region = build_region(code, start, scratch);
         if region.ops.is_empty() && region.term == Term::Fall(start) {
             // A leader that is immediately a call/ret lowers to a no-op
             // region falling to itself. Leave the slot unmapped so the
@@ -726,21 +692,26 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
             // of spinning on a zero-charge region.
             continue;
         }
-        entry[start as usize] = regions.len() as u32;
-        regions.push(region);
+        entry[start as usize] = scratch.regions.len() as u32;
+        scratch.regions.push(region);
     }
+    let mut regions = Vec::with_capacity(scratch.regions.len());
+    regions.append(&mut scratch.regions);
     NativeFunc { entry, regions }
 }
 
 /// Walks the stream from `start` to the region's end, lowering as it
-/// goes; newly discovered fall-through leaders go onto `work`.
-fn build_region(
-    code: &[Instr],
-    start: u32,
-    leader: &mut [bool],
-    work: &mut Vec<u32>,
-) -> NativeRegion {
-    let mut ops = Vec::new();
+/// goes; the fall-through or resume pc after its terminator is flagged
+/// a leader.
+fn build_region(code: &[Instr], start: u32, scratch: &mut Scratch) -> NativeRegion {
+    let Scratch {
+        leader,
+        ops,
+        grouped,
+        rops,
+        ..
+    } = scratch;
+    ops.clear();
     let mut done: u64 = 0;
     let mut pc = start as usize;
     let term = loop {
@@ -755,123 +726,38 @@ fn build_region(
             // the next region without leaving the fast path.
             break Term::Fall(pc as u32);
         }
-        let instr = code[pc];
-        if is_breaker(instr) {
-            if !matches!(instr, Instr::Ret) {
-                note_leader(code.len(), leader, work, pc as u32 + 1);
+        // The instruction after this one, unless it is a leader (a
+        // comparison folds only with a branch no other path enters).
+        let next = code.get(pc + 1).filter(|_| !leader[pc + 1]).copied();
+        match lower_step(code[pc], next, pc as u32, done) {
+            Step::Op(op, k) => {
+                ops.push(op);
+                done += u64::from(k);
+                pc += k as usize;
             }
-            break Term::Fall(pc as u32);
-        }
-        match instr {
-            Instr::Jump(t) => {
-                done += 1;
-                break Term::Jump(t);
-            }
-            Instr::JumpIfZero(t) => {
-                done += 1;
-                note_leader(code.len(), leader, work, pc as u32 + 1);
-                break Term::JumpIfZero {
-                    target: t,
-                    fall: pc as u32 + 1,
-                };
-            }
-            Instr::JumpIfNotZero(t) => {
-                done += 1;
-                note_leader(code.len(), leader, work, pc as u32 + 1);
-                break Term::JumpIfNotZero {
-                    target: t,
-                    fall: pc as u32 + 1,
-                };
-            }
-            Instr::FusedCmpJump {
-                a,
-                b,
-                a_repr,
-                b_repr,
-                op,
-                target,
+            Step::End {
+                term,
+                charge,
+                resume,
             } => {
-                done += 5;
-                let (a_size, a_signed) = unpack_scalar(a_repr);
-                let (b_size, b_signed) = unpack_scalar(b_repr);
-                note_leader(code.len(), leader, work, pc as u32 + 5);
-                break Term::CmpJump {
-                    a,
-                    a_size,
-                    a_signed,
-                    b,
-                    b_size,
-                    b_signed,
-                    op,
-                    target,
-                    fall: pc as u32 + 5,
-                };
-            }
-            Instr::FusedIncJump {
-                off,
-                delta,
-                repr,
-                len,
-                target,
-            } => {
-                done += len as u64;
-                let (size, signed) = unpack_scalar(repr);
-                break Term::IncJump {
-                    off,
-                    delta: delta as i64,
-                    size,
-                    signed,
-                    target,
-                };
-            }
-            _ => {}
-        }
-        // Fold a comparison with a directly following branch — the
-        // runtime `cmp_arm` peephole, resolved ahead of time. Skipped
-        // when the branch is itself a leader (the split wins; the flag
-        // is pushed and the next region's terminator pops it, which is
-        // observationally the same thing).
-        if let Some(op) = cmp_op_of(instr) {
-            if pc + 1 < code.len() && !leader[pc + 1] {
-                match code[pc + 1] {
-                    Instr::JumpIfZero(t) => {
-                        done += 2;
-                        note_leader(code.len(), leader, work, pc as u32 + 2);
-                        break Term::FlagJump {
-                            op: op.negate(),
-                            target: t,
-                            fall: pc as u32 + 2,
-                        };
-                    }
-                    Instr::JumpIfNotZero(t) => {
-                        done += 2;
-                        note_leader(code.len(), leader, work, pc as u32 + 2);
-                        break Term::FlagJump {
-                            op,
-                            target: t,
-                            fall: pc as u32 + 2,
-                        };
-                    }
-                    _ => {}
+                done += charge;
+                if let Some(resume) = resume {
+                    note_leader(leader, resume);
                 }
+                break term;
             }
-            ops.push(NOp::Cmp(op));
-            done += 1;
-            pc += 1;
-            continue;
         }
-        let k = span(instr) as u64;
-        ops.push(lower_op(instr, pc as u32, done));
-        done += k;
-        pc += span(instr);
     };
     // Every terminator folded its own components into `done` at its
     // break (a `Fall` charges nothing), so the region charge is final.
     // Charges were computed per original op, and grouping neither adds
     // nor removes components, so the charge is unaffected by it.
+    group_locals(ops, rops, grouped);
+    let mut region_ops = Vec::with_capacity(grouped.len());
+    region_ops.append(grouped);
     NativeRegion {
         charge: done,
-        ops: group_locals(ops),
+        ops: region_ops,
         term,
     }
 }
@@ -935,9 +821,9 @@ fn is_block_member(op: &NOp) -> bool {
 /// at least two ops amortize it. Runs whose stack shape exceeds
 /// [`LOCALS_REGS`] also stay in individual-op form (the executor's
 /// slow path is observationally identical). Blocks are built from a
-/// flat op vector, so they never nest.
-fn group_locals(ops: Vec<NOp>) -> Vec<NOp> {
-    let mut out = Vec::with_capacity(ops.len());
+/// flat op vector, so they never nest. The grouped ops are appended to
+/// `out`; `rops` is [`lower_locals`]' working buffer.
+fn group_locals(ops: &[NOp], rops: &mut Vec<ROp>, out: &mut Vec<NOp>) {
     let mut i = 0;
     while i < ops.len() {
         if !is_block_member(&ops[i]) {
@@ -949,13 +835,15 @@ fn group_locals(ops: Vec<NOp>) -> Vec<NOp> {
         while j < ops.len() && is_block_member(&ops[j]) {
             j += 1;
         }
-        match (j - i >= 2).then(|| lower_locals(&ops[i..j])).flatten() {
+        match (j - i >= 2)
+            .then(|| lower_locals(&ops[i..j], rops))
+            .flatten()
+        {
             Some(block) => out.push(NOp::Locals(block)),
             None => out.extend(ops[i..j].iter().cloned()),
         }
         i = j;
     }
-    out
 }
 
 /// How a pure-local op shapes the operand stack: `(consumed, effect)`
@@ -989,8 +877,9 @@ fn stack_shape(op: &NOp) -> (i32, i32) {
 /// exactly; a `GPtrAdd` feeding the immediately following access fuses
 /// into the combined `GIdx*` form (one placement lookup for the pair,
 /// the same peephole the fused constant-index shapes get). Returns
-/// `None` when the run's stack shape exceeds [`LOCALS_REGS`].
-fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
+/// `None` when the run's stack shape exceeds [`LOCALS_REGS`]. `ops` is
+/// a working buffer; only the block's exact-size op slice is allocated.
+fn lower_locals(run: &[NOp], ops: &mut Vec<ROp>) -> Option<LocalsBlock> {
     // Pass 1: the run's depth envelope relative to its entry depth.
     let mut depth: i32 = 0;
     let mut lowest: i32 = 0;
@@ -1007,7 +896,7 @@ fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
     }
     // Pass 2: emit, mapping relative depth `d` to register `d + bias`.
     let r = |d: i32| (d + bias) as u8;
-    let mut ops = Vec::with_capacity(run.len());
+    ops.clear();
     let mut d: i32 = 0;
     for op in run {
         match *op {
@@ -1099,21 +988,48 @@ fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
                 // Pops the address, pushes the value: same slot. The
                 // spill image on a fault is everything below the
                 // popped address.
-                ops.push(ROp::GLoad {
-                    at: r(d - 1),
-                    size,
-                    signed,
-                    seam: at,
-                    spill: r(d - 1),
+                let reg = r(d - 1);
+                let fused = pop_ptr_add(ops, reg);
+                ops.push(match fused {
+                    Some((ptr, count, esz)) => ROp::GIdxLoad {
+                        dst: reg,
+                        ptr,
+                        count,
+                        esz,
+                        size,
+                        signed,
+                        seam: at,
+                        spill: reg,
+                    },
+                    None => ROp::GLoad {
+                        at: reg,
+                        size,
+                        signed,
+                        seam: at,
+                        spill: reg,
+                    },
                 });
             }
             NOp::Store { size, at } => {
-                ops.push(ROp::GStore {
-                    addr: r(d - 1),
-                    val: r(d - 2),
-                    size,
-                    seam: at,
-                    spill: r(d - 2),
+                let (addr, val) = (r(d - 1), r(d - 2));
+                let fused = pop_ptr_add(ops, addr);
+                ops.push(match fused {
+                    Some((ptr, count, esz)) => ROp::GIdxStore {
+                        ptr,
+                        count,
+                        val,
+                        esz,
+                        size,
+                        seam: at,
+                        spill: val,
+                    },
+                    None => ROp::GStore {
+                        addr,
+                        val,
+                        size,
+                        seam: at,
+                        spill: val,
+                    },
                 });
                 d -= 2;
             }
@@ -1139,14 +1055,35 @@ fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
             ref other => unreachable!("non-member op in a locals run: {other:?}"),
         }
     }
-    let ops = fuse_idx_pairs(ops);
-    let mem = ops.iter().any(is_heap_rop);
     Some(LocalsBlock {
         consumes: bias as u8,
         produces: (d + bias) as u8,
-        mem,
-        ops: ops.into_boxed_slice(),
+        mem: ops.iter().any(is_heap_rop),
+        ops: Box::from(&ops[..]),
     })
+}
+
+/// Pops the block's last register op when it is a `GPtrAdd` deriving
+/// the pointer in `reg`, returning its `(ptr, count, esz)` so the access
+/// consuming that pointer can fuse with it into the one-lookup `GIdx*`
+/// form. The derived
+/// pointer is dead after the access pops it, so the rewrite is
+/// invisible: on the hit path one in-unit containment check proves both
+/// steps, and on the miss path the executor runs the exact two-step
+/// sequence.
+fn pop_ptr_add(ops: &mut Vec<ROp>, reg: u8) -> Option<(u8, u8, u64)> {
+    match ops.last() {
+        Some(&ROp::GPtrAdd {
+            dst,
+            ptr,
+            count,
+            esz,
+        }) if dst == reg => {
+            ops.pop();
+            Some((ptr, count, esz))
+        }
+        _ => None,
+    }
 }
 
 /// Whether a register op touches guest memory (decides
@@ -1165,76 +1102,107 @@ pub fn is_heap_rop(op: &ROp) -> bool {
     )
 }
 
-/// Fuses each `GPtrAdd` whose derived pointer feeds the immediately
-/// following `GLoad`/`GStore` into the combined one-lookup form. The
-/// pointer register the pair threads through is dead afterwards (the
-/// access pops it), so the rewrite is invisible: on the hit path one
-/// in-unit containment check proves both steps, and on the miss path
-/// the executor runs the exact two-step sequence.
-fn fuse_idx_pairs(ops: Vec<ROp>) -> Vec<ROp> {
-    let mut out: Vec<ROp> = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        if let ROp::GPtrAdd {
-            dst,
-            ptr,
-            count,
-            esz,
-        } = ops[i]
-        {
-            match ops.get(i + 1) {
-                Some(&ROp::GLoad {
-                    at,
-                    size,
-                    signed,
-                    seam,
-                    spill,
-                }) if at == dst => {
-                    out.push(ROp::GIdxLoad {
-                        dst,
-                        ptr,
-                        count,
-                        esz,
-                        size,
-                        signed,
-                        seam,
-                        spill,
-                    });
-                    i += 2;
-                    continue;
-                }
-                Some(&ROp::GStore {
-                    addr,
-                    val,
-                    size,
-                    seam,
-                    spill,
-                }) if addr == dst => {
-                    out.push(ROp::GIdxStore {
-                        ptr,
-                        count,
-                        val,
-                        esz,
-                        size,
-                        seam,
-                        spill,
-                    });
-                    i += 2;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        out.push(ops[i]);
-        i += 1;
-    }
-    out
+/// One lowering step: a micro-op covering `k` instruction slots, or the
+/// region's end.
+enum Step {
+    /// A straight-line micro-op and the slots (components) it covers.
+    Op(NOp, u32),
+    /// The region ends in `term`, which charges `charge` components;
+    /// `resume` is a fall-through or post-call pc that must lead a
+    /// region of its own.
+    End {
+        term: Term,
+        charge: u64,
+        resume: Option<u32>,
+    },
 }
 
-/// Lowers one non-terminator, non-breaker instruction. `pc` is the
-/// instruction's own index; `done` the components charged before it.
-fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
-    match instr {
+/// Lowers the instruction at `pc` in one dispatch. `next` is the
+/// following instruction when it is not a leader (the only case a
+/// comparison may fold with it); `done` the components charged before
+/// `pc`. Fault seams surface at the faulting component's architectural
+/// pc with every component up to and including it charged.
+fn lower_step(instr: Instr, next: Option<Instr>, pc: u32, done: u64) -> Step {
+    let at = |k: u32| FaultAt {
+        pc: pc + k,
+        spent: done + u64::from(k),
+    };
+    let end = |term, charge, resume| Step::End {
+        term,
+        charge,
+        resume,
+    };
+    let div = |signed, rem| NOp::Div {
+        signed,
+        rem,
+        at: at(1),
+    };
+    let op = match instr {
+        // Breakers: frame and builtin machinery the region executor does
+        // not replicate drops to the interpreter, which resumes native
+        // execution after a call returns.
+        Instr::Call(_) | Instr::CallBuiltin(_) => return end(Term::Fall(pc), 0, Some(pc + 1)),
+        Instr::Ret => return end(Term::Fall(pc), 0, None),
+        Instr::Jump(t) => return end(Term::Jump(t), 1, None),
+        Instr::JumpIfZero(t) => {
+            let fall = pc + 1;
+            return end(Term::JumpIfZero { target: t, fall }, 1, Some(fall));
+        }
+        Instr::JumpIfNotZero(t) => {
+            let fall = pc + 1;
+            return end(Term::JumpIfNotZero { target: t, fall }, 1, Some(fall));
+        }
+        Instr::FusedCmpJump {
+            a,
+            b,
+            a_repr,
+            b_repr,
+            op,
+            target,
+        } => {
+            let (a_size, a_signed) = unpack_scalar(a_repr);
+            let (b_size, b_signed) = unpack_scalar(b_repr);
+            let fall = pc + 5;
+            let term = Term::CmpJump {
+                a,
+                a_size,
+                a_signed,
+                b,
+                b_size,
+                b_signed,
+                op,
+                target,
+                fall,
+            };
+            return end(term, 5, Some(fall));
+        }
+        Instr::FusedIncJump {
+            off,
+            delta,
+            repr,
+            len,
+            target,
+        } => {
+            let (size, signed) = unpack_scalar(repr);
+            let term = Term::IncJump {
+                off,
+                delta: delta as i64,
+                size,
+                signed,
+                target,
+            };
+            return end(term, u64::from(len), None);
+        }
+        Instr::Eq => return cmp_step(CmpOp::Eq, next, pc),
+        Instr::Ne => return cmp_step(CmpOp::Ne, next, pc),
+        Instr::LtS => return cmp_step(CmpOp::LtS, next, pc),
+        Instr::LtU => return cmp_step(CmpOp::LtU, next, pc),
+        Instr::LeS => return cmp_step(CmpOp::LeS, next, pc),
+        Instr::LeU => return cmp_step(CmpOp::LeU, next, pc),
+        Instr::GtS => return cmp_step(CmpOp::GtS, next, pc),
+        Instr::GtU => return cmp_step(CmpOp::GtU, next, pc),
+        Instr::GeS => return cmp_step(CmpOp::GeS, next, pc),
+        Instr::GeU => return cmp_step(CmpOp::GeU, next, pc),
         Instr::Const(v) => NOp::Const(v),
         Instr::Dup => NOp::Dup,
         Instr::Drop => NOp::Drop,
@@ -1246,52 +1214,24 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
         Instr::Load(size, signed) => NOp::Load {
             size,
             signed,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
+            at: at(1),
         },
-        Instr::Store(size) => NOp::Store {
-            size,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
+        Instr::Store(size) => NOp::Store { size, at: at(1) },
         Instr::LoadLocal(off, size, signed) => NOp::LoadLocal { off, size, signed },
         Instr::StoreLocal(off, size) => NOp::StoreLocal { off, size },
-        Instr::DivS => NOp::Div {
-            signed: true,
-            rem: false,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::DivU => NOp::Div {
-            signed: false,
-            rem: false,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::RemS => NOp::Div {
-            signed: true,
-            rem: true,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::RemU => NOp::Div {
-            signed: false,
-            rem: true,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
+        Instr::DivS => div(true, false),
+        Instr::DivU => div(false, false),
+        Instr::RemS => div(true, true),
+        Instr::RemU => div(false, true),
+        Instr::Add => NOp::Alu(AluOp::Add),
+        Instr::Sub => NOp::Alu(AluOp::Sub),
+        Instr::Mul => NOp::Alu(AluOp::Mul),
+        Instr::And => NOp::Alu(AluOp::And),
+        Instr::Or => NOp::Alu(AluOp::Or),
+        Instr::Xor => NOp::Alu(AluOp::Xor),
+        Instr::Shl => NOp::Alu(AluOp::Shl),
+        Instr::ShrS => NOp::Alu(AluOp::ShrS),
+        Instr::ShrU => NOp::Alu(AluOp::ShrU),
         Instr::Neg => NOp::Neg,
         Instr::BitNot => NOp::BitNot,
         Instr::Not => NOp::Not,
@@ -1306,31 +1246,29 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
             repr,
         } => {
             let (size, signed) = unpack_scalar(repr);
-            NOp::IdxLoad {
+            let op = NOp::IdxLoad {
                 off,
                 delta: (idx as i64).wrapping_mul(esz as i64),
                 size,
                 signed,
-                at: FaultAt {
-                    pc: pc + 4,
-                    spent: done + 4,
-                },
-            }
+                at: at(4),
+            };
+            return Step::Op(op, 4);
         }
         Instr::FusedLocalIdxStore {
             off,
             idx,
             esz,
             size,
-        } => NOp::IdxStore {
-            off,
-            delta: (idx as i64).wrapping_mul(esz as i64),
-            size,
-            at: FaultAt {
-                pc: pc + 4,
-                spent: done + 4,
-            },
-        },
+        } => {
+            let op = NOp::IdxStore {
+                off,
+                delta: (idx as i64).wrapping_mul(esz as i64),
+                size,
+                at: at(4),
+            };
+            return Step::Op(op, 4);
+        }
         Instr::FusedLoadIdxAccum {
             acc,
             addr,
@@ -1341,7 +1279,7 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
         } => {
             let (acc_size, acc_signed) = unpack_scalar(acc_repr);
             let (load_size, load_signed) = unpack_scalar(load_repr);
-            NOp::IdxAccum {
+            let op = NOp::IdxAccum {
                 acc,
                 acc_size,
                 acc_signed,
@@ -1353,46 +1291,59 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
                 // The load is component 4 of 9: a memory fault surfaces
                 // with exactly components 0..=4 charged (the interpreter
                 // refunds the four pure stack ops behind the load).
-                at: FaultAt {
-                    pc: pc + 5,
-                    spent: done + 5,
-                },
-            }
+                at: at(5),
+            };
+            return Step::Op(op, 9);
         }
         Instr::FusedIncLocal {
-            off, delta, repr, ..
+            off,
+            delta,
+            repr,
+            len,
         } => {
             let (size, signed) = unpack_scalar(repr);
-            NOp::IncLocal {
+            let op = NOp::IncLocal {
                 off,
                 delta: delta as i64,
                 size,
                 signed,
-            }
+            };
+            return Step::Op(op, u32::from(len));
         }
-        Instr::FusedConstAlu { c, op } => NOp::ConstAlu { c: c as i64, op },
-        Instr::FusedStoreLocalPop { off, size } => NOp::StoreLocalPop { off, size },
+        Instr::FusedConstAlu { c, op } => return Step::Op(NOp::ConstAlu { c: c as i64, op }, 2),
+        Instr::FusedStoreLocalPop { off, size } => {
+            return Step::Op(NOp::StoreLocalPop { off, size }, 3)
+        }
         Instr::FusedLoadLoad { off, repr } => {
             let (size, signed) = unpack_scalar(repr);
-            NOp::LoadLoad {
+            let op = NOp::LoadLoad {
                 off,
                 size,
                 signed,
-                at: FaultAt {
-                    pc: pc + 2,
-                    spent: done + 2,
-                },
-            }
+                at: at(2),
+            };
+            return Step::Op(op, 2);
         }
-        other => {
-            if let Some(op) = alu_op_of(other) {
-                NOp::Alu(op)
-            } else if let Some(op) = cmp_op_of(other) {
-                NOp::Cmp(op)
-            } else {
-                unreachable!("terminator/breaker reached lower_op: {other:?}")
-            }
-        }
+    };
+    Step::Op(op, 1)
+}
+
+/// A comparison: folded with a directly following branch — the
+/// runtime `cmp_arm` peephole, resolved ahead of time — or pushed as a
+/// flag. A branch that is itself a leader is never folded (the split
+/// wins; the flag is pushed and the next region's terminator pops it,
+/// which is observationally the same thing).
+fn cmp_step(op: CmpOp, next: Option<Instr>, pc: u32) -> Step {
+    let (op, target) = match next {
+        Some(Instr::JumpIfZero(t)) => (op.negate(), t),
+        Some(Instr::JumpIfNotZero(t)) => (op, t),
+        _ => return Step::Op(NOp::Cmp(op), 1),
+    };
+    let fall = pc + 2;
+    Step::End {
+        term: Term::FlagJump { op, target, fall },
+        charge: 2,
+        resume: Some(fall),
     }
 }
 
@@ -1402,7 +1353,7 @@ mod tests {
     use crate::{compile_source, fuse_program};
 
     fn lower(src: &str) -> NativeProgram {
-        let fused = fuse_program(&compile_source(src).unwrap());
+        let fused = fuse_program(compile_source(src).unwrap());
         lower_native(&fused.funcs)
     }
 
@@ -1416,7 +1367,7 @@ mod tests {
 
     #[test]
     fn entry_table_is_aligned_and_indices_are_valid() {
-        let fused = fuse_program(&compile_source(LOOP_SRC).unwrap());
+        let fused = fuse_program(compile_source(LOOP_SRC).unwrap());
         let native = lower_native(&fused.funcs);
         for (f, nf) in fused.funcs.iter().zip(&native.funcs) {
             assert_eq!(nf.entry.len(), f.code.len());
@@ -1459,7 +1410,7 @@ mod tests {
         // A straight-line function: one region covering everything up to
         // the Ret breaker, charging exactly the unfused component count.
         let src = "int f() { int x = 3; int y = 4; return x + y; }";
-        let fused = fuse_program(&compile_source(src).unwrap());
+        let fused = fuse_program(compile_source(src).unwrap());
         let native = lower_native(&fused.funcs);
         let nf = &native.funcs[0];
         let entry_region = &nf.regions[nf.entry[0] as usize];
@@ -1538,7 +1489,7 @@ mod tests {
                 size: AccessSize::B8,
             },
         ];
-        let block = lower_locals(&run).expect("shallow run lowers");
+        let block = lower_locals(&run, &mut Vec::new()).expect("shallow run lowers");
         assert_eq!(block.consumes, 0);
         assert_eq!(block.produces, 0);
         assert_eq!(
@@ -1583,7 +1534,7 @@ mod tests {
             },
             NOp::Const(7),
         ];
-        let block = lower_locals(&run).expect("shallow run lowers");
+        let block = lower_locals(&run, &mut Vec::new()).expect("shallow run lowers");
         assert_eq!(block.consumes, 1, "the store pops an entry value");
         assert_eq!(block.produces, 1, "the const pushes one back");
         assert_eq!(
@@ -1677,7 +1628,7 @@ mod tests {
                 at: seam,
             },
         ];
-        let block = lower_locals(&run).expect("heap run lowers");
+        let block = lower_locals(&run, &mut Vec::new()).expect("heap run lowers");
         assert!(block.mem);
         assert_eq!(block.consumes, 0);
         assert_eq!(block.produces, 1);
@@ -1718,7 +1669,7 @@ mod tests {
                 at: seam,
             },
         ];
-        let block = lower_locals(&run).expect("heap run lowers");
+        let block = lower_locals(&run, &mut Vec::new()).expect("heap run lowers");
         assert!(block.mem);
         assert_eq!(block.consumes, 0);
         assert_eq!(block.produces, 0);
@@ -1762,7 +1713,7 @@ mod tests {
         // The load is component 4 of the 9-wide pattern: the seam must
         // surface with exactly `prefix + 5` components charged and the
         // load's own architectural pc.
-        let fused = fuse_program(&compile_source(src).unwrap());
+        let fused = fuse_program(compile_source(src).unwrap());
         let head = fused.funcs[0]
             .code
             .iter()

@@ -57,11 +57,12 @@ pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LookupLayer {
     /// Every checked access searches the object table (the historical
-    /// path; default).
-    #[default]
+    /// path).
     Table,
     /// Checked accesses resolve through the per-space page map first and
-    /// fall back to the object table only for shared or torn pages.
+    /// fall back to the object table only for shared or torn pages. The
+    /// shipped default: it wins or ties every measured row.
+    #[default]
     Paged,
 }
 
@@ -375,7 +376,7 @@ mod tests {
         }
         assert_eq!("PAGED".parse::<LookupLayer>().unwrap(), LookupLayer::Paged);
         assert!("tlb".parse::<LookupLayer>().is_err());
-        assert_eq!(LookupLayer::default(), LookupLayer::Table);
+        assert_eq!(LookupLayer::default(), LookupLayer::Paged);
     }
 
     #[test]

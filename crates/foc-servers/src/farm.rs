@@ -1229,6 +1229,39 @@ pub fn run_mode_sweep(kind: ServerKind, base: &FarmConfig) -> Vec<FarmReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_compiler::ExecTier;
+
+    #[test]
+    fn shipped_defaults_serve_like_the_historical_configuration() {
+        // The spec every unconfigured boot gets (read here with no
+        // environment at all, so an exported FOC_* variable cannot
+        // change what this checks) must answer a benign and an attack
+        // request exactly as the old baseline + table default did.
+        for kind in ServerKind::ALL {
+            for mode in [Mode::FailureOblivious, Mode::BoundsCheck] {
+                let shipped = BootSpec::from_env_with(kind, mode, |_| None).unwrap();
+                assert_eq!(
+                    (shipped.tier, shipped.lookup),
+                    (ExecTier::Native, LookupLayer::Paged)
+                );
+                let historical = shipped
+                    .with_tier(ExecTier::Baseline)
+                    .with_lookup(LookupLayer::Table);
+                for attack in [false, true] {
+                    let serve = |spec: &BootSpec| {
+                        let request = RequestGen::new(7).generate(kind, attack);
+                        request.apply(&mut FarmProcess::boot(kind, spec))
+                    };
+                    assert_eq!(
+                        serve(&shipped),
+                        serve(&historical),
+                        "{} {mode:?} attack={attack}",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
 
     fn quick(kind: ServerKind, mode: Mode) -> FarmConfig {
         let mut c = FarmConfig::new(kind, mode);

@@ -381,6 +381,48 @@ mod tests {
     }
 
     #[test]
+    fn program_ids_are_pinned() {
+        // Bench-record fingerprints embed these ids, so neither the
+        // compiled artifacts nor the (lazily computed) id may drift.
+        // Columns follow `ExecTier::ALL`: baseline, super, native.
+        const GOLDEN: [(ServerKind, [&str; 3]); 5] = [
+            (
+                ServerKind::Pine,
+                ["251e0f4028ff7b7a", "cf7e130ed9c6fc57", "ec1803fa2b56cba1"],
+            ),
+            (
+                ServerKind::Apache,
+                ["e7e0ca28e3464c04", "030eeb2d84408f13", "1988c19ad5432c5d"],
+            ),
+            (
+                ServerKind::Sendmail,
+                ["6d7569c184698ed4", "bb37f947ee675d42", "bf97990b733e1656"],
+            ),
+            (
+                ServerKind::Mc,
+                ["aed997ea9baca66e", "6c2d55ea84d66b5e", "a7e63ded2cfe66b2"],
+            ),
+            (
+                ServerKind::Mutt,
+                ["694f43a846bf58a7", "ed9b102364d52098", "f9be0f7ebd9c9f04"],
+            ),
+        ];
+        for (kind, ids) in GOLDEN {
+            for (tier, want) in ExecTier::ALL.into_iter().zip(ids) {
+                let fresh = kind.fresh_image_tier(tier);
+                let what = format!("{} {}", kind.name(), tier.label());
+                assert_eq!(fresh.id().to_string(), want, "{what}");
+                // Equality follows the id: a separate compile equals the
+                // cached image, and images of other tiers differ.
+                assert_eq!(fresh, kind.image_tier(tier), "{what}");
+                for other in ExecTier::ALL.into_iter().filter(|&t| t != tier) {
+                    assert_ne!(fresh, kind.image_tier(other), "{what} vs {other:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn indices_are_dense_and_match_all_order() {
         for (pos, kind) in ServerKind::ALL.iter().enumerate() {
             assert_eq!(kind.index(), pos);

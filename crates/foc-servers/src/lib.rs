@@ -151,7 +151,10 @@ impl BootSpec {
     /// session defaults: the paper's cycling sequence, the kind's
     /// standard fuel budget, and the three environment axes — table
     /// backend from `FOC_TABLE`, execution tier from `FOC_EXEC_TIER`,
-    /// lookup layer from `FOC_LOOKUP` (each defaulting when unset).
+    /// lookup layer from `FOC_LOOKUP`. Each unset axis takes its type's
+    /// `#[default]` variant: splay table, native tier, paged lookup
+    /// (`FOC_EXEC_TIER=baseline FOC_LOOKUP=table` runs the historical
+    /// interpreter configuration).
     /// Unknown env values exit the process with a one-line diagnostic;
     /// use [`BootSpec::from_env`] to get the error as a value instead.
     pub fn new(kind: ServerKind, mode: Mode) -> BootSpec {
@@ -510,8 +513,8 @@ mod tests {
     fn boot_spec_from_env_defaults_when_unset() {
         let spec =
             BootSpec::from_env_with(ServerKind::Pine, Mode::FailureOblivious, |_| None).unwrap();
-        assert_eq!(spec.tier, ExecTier::Baseline);
-        assert_eq!(spec.lookup, LookupLayer::Table);
+        assert_eq!(spec.tier, ExecTier::Native);
+        assert_eq!(spec.lookup, LookupLayer::Paged);
         assert_eq!(spec.table, TableKind::Splay);
         assert_eq!(spec.mode, Mode::FailureOblivious);
         assert_eq!(spec.fuel, ServerKind::Pine.fuel());
