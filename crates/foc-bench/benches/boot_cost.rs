@@ -13,6 +13,7 @@ use foc_memory::Mode;
 use foc_servers::apache::ApacheWorker;
 use foc_servers::farm::ServerKind;
 use foc_servers::mutt::Mutt;
+use foc_servers::{BootSpec, ExecTier};
 
 fn bench_compile_only(c: &mut Criterion) {
     let mut group = c.benchmark_group("boot_cost");
@@ -20,7 +21,7 @@ fn bench_compile_only(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("compile", kind.name()),
             &kind,
-            |b, &kind| b.iter(|| kind.fresh_image()),
+            |b, &kind| b.iter(|| kind.fresh_image_tier(ExecTier::default())),
         );
     }
     group.finish();
@@ -30,13 +31,18 @@ fn bench_apache_boot(c: &mut Criterion) {
     let mut group = c.benchmark_group("boot_cost");
     group.bench_function("apache/cold_compile_boot", |b| {
         b.iter(|| {
-            ApacheWorker::from_image(&ServerKind::Apache.fresh_image(), Mode::FailureOblivious)
+            ApacheWorker::boot_image_spec(
+                &ServerKind::Apache.fresh_image_tier(ExecTier::default()),
+                &BootSpec::new(ServerKind::Apache, Mode::FailureOblivious),
+            )
         })
     });
     // Populate the cache outside the timed region.
-    let _ = ServerKind::Apache.image();
+    let _ = ServerKind::Apache.image_tier(ExecTier::default());
     group.bench_function("apache/cached_image_boot", |b| {
-        b.iter(|| ApacheWorker::boot(Mode::FailureOblivious))
+        b.iter(|| {
+            ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::FailureOblivious))
+        })
     });
     group.finish();
 }
@@ -44,11 +50,17 @@ fn bench_apache_boot(c: &mut Criterion) {
 fn bench_mutt_boot(c: &mut Criterion) {
     let mut group = c.benchmark_group("boot_cost");
     group.bench_function("mutt/cold_compile_boot", |b| {
-        b.iter(|| Mutt::boot_image(&ServerKind::Mutt.fresh_image(), Mode::FailureOblivious, 2))
+        b.iter(|| {
+            Mutt::boot_image_spec(
+                &ServerKind::Mutt.fresh_image_tier(ExecTier::default()),
+                &BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious),
+                2,
+            )
+        })
     });
-    let _ = ServerKind::Mutt.image();
+    let _ = ServerKind::Mutt.image_tier(ExecTier::default());
     group.bench_function("mutt/cached_image_boot", |b| {
-        b.iter(|| Mutt::boot(Mode::FailureOblivious, 2))
+        b.iter(|| Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 2))
     });
     group.finish();
 }

@@ -14,11 +14,11 @@
 //! accesses the native tier admits into memory-spanning `LocalsBlock`s
 //! and resolves in-block through the placement probe
 //! (`GIdxLoad`/`GIdxStore`), versus the superinstruction tier paying a
-//! full dispatch round per access. The tier axis is read through the
-//! unified strict env path ([`foc_compiler::ExecTier::from_env`], the
-//! same parse `BootSpec::from_env` delegates to), so an unknown
-//! `FOC_EXEC_TIER` spelling dies loudly instead of silently measuring
-//! the default tier.
+//! full dispatch round per access. The tier axis is read once, at the
+//! top of `main`, through the workspace's one strict env parser
+//! ([`foc_servers::env_axis`], the parse `BootSpec::from_env` uses), so
+//! an unknown `FOC_EXEC_TIER` spelling exits 2 instead of silently
+//! measuring the default tier.
 //!
 //! Usage:
 //!
@@ -36,12 +36,13 @@
 //!   rate on the guest copy loop. Exits nonzero with a one-line
 //!   diagnostic otherwise.
 
-use foc_bench::check::{check_fail, check_gate, parse_reps, record_farm_row};
+use foc_bench::check::{check_fail, check_gate, env_config, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
     access_cost_fingerprint, access_cost_row_json, append_access_cost_row, append_mem_cost_row,
     measure_access_cost, measure_mem_cost, mem_cost_fingerprint, mem_cost_row_json, AccessCost,
     NativeCost,
 };
+use foc_compiler::{ExecTier, EXEC_TIER_ENV};
 
 /// The CI bar: the page map must beat the direct table search by this
 /// factor on memo-defeating in-bounds traffic. The paged probe is one
@@ -140,7 +141,8 @@ fn main() {
     // Read the tier axis once, up front, through the strict parse: a
     // typo'd FOC_EXEC_TIER exits 2 here rather than silently gating
     // (or recording) the wrong measurement.
-    let native = foc_compiler::ExecTier::from_env() == foc_compiler::ExecTier::Native;
+    let tier: ExecTier = env_config("access_cost", foc_servers::env_axis(EXEC_TIER_ENV));
+    let native = tier == ExecTier::Native;
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
         if let Err(msg) = run_check(native) {

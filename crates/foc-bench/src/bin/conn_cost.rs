@@ -25,13 +25,20 @@
 //!   3. the connection-level SLO holds: ≥ `SLO_FLOOR_BP` basis points
 //!      of completed requests land within 4× the median service
 //!      latency.
+//!
+//! `FOC_EXEC_TIER` and `FOC_LOOKUP` pick the configuration the farms
+//! run on (`FOC_TABLE` is validated too; the bin names its own edges).
+//! They are read once, at the top of `main`, and an unknown value
+//! exits 2.
 
-use foc_bench::check::{check_fail, parse_reps, record_farm_row};
+use foc_bench::check::{check_fail, env_config, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
     append_conn_cost_row, conn_cost_fingerprint, conn_cost_row_json, conn_cost_smoke,
     measure_conn_cost, ConnCost, CONN_SLO_K, CONN_SMOKE_FLOOD, CONN_SMOKE_POOL,
     CONN_SMOKE_REQUESTS, CONN_SMOKE_SERVERS,
 };
+use foc_memory::Mode;
+use foc_servers::{BootSpec, ServerKind};
 
 /// The CI bar on the socket edge's overhead: clean socket transport
 /// must stay within this factor of the in-process wall time. The
@@ -78,9 +85,9 @@ fn print_measurement(cost: &ConnCost) {
     );
 }
 
-fn run_check() -> Result<(), String> {
+fn run_check(spec: &BootSpec) -> Result<(), String> {
     eprintln!("conn_cost --check: socket edge vs in-process, report equality enforced ...");
-    let cost = measure_conn_cost(4);
+    let cost = measure_conn_cost(4, spec.tier, spec.lookup);
     print_measurement(&cost);
     if cost.socket_overhead() > OVERHEAD_CEILING {
         return Err(format!(
@@ -103,7 +110,7 @@ fn run_check() -> Result<(), String> {
         "conn_cost --check: connection smoke, {} servers x {} connection attempts ...",
         CONN_SMOKE_SERVERS, connections_per_server
     );
-    let (report, connections) = conn_cost_smoke();
+    let (report, connections) = conn_cost_smoke(spec.tier, spec.lookup);
     eprintln!(
         "  {} simulated connections, {}/{} requests completed, {:.1} ms",
         connections, report.stats.completed, report.stats.requests, report.host_wall_ms
@@ -136,16 +143,20 @@ fn run_check() -> Result<(), String> {
 }
 
 fn main() {
+    let spec = env_config(
+        "conn_cost",
+        BootSpec::from_env(ServerKind::Apache, Mode::FailureOblivious),
+    );
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
-        if let Err(msg) = run_check() {
+        if let Err(msg) = run_check(&spec) {
             check_fail("conn_cost --check", &msg);
         }
         return;
     }
     let reps = parse_reps("conn_cost", &args, 12);
-    let cost = measure_conn_cost(reps);
+    let cost = measure_conn_cost(reps, spec.tier, spec.lookup);
     print_measurement(&cost);
-    let row = conn_cost_row_json(&cost, &conn_cost_fingerprint(reps));
+    let row = conn_cost_row_json(&cost, &conn_cost_fingerprint(reps, spec.tier));
     record_farm_row("conn_cost", &row, append_conn_cost_row);
 }

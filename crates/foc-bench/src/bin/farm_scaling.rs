@@ -14,14 +14,22 @@
 //!   measurement, JSON rendering) without writing the record, so bench
 //!   bitrot fails CI instead of being discovered at measurement time.
 //!   (The stress point has its own smoke bin: `farm_stress --check`.)
+//!
+//! `FOC_EXEC_TIER`, `FOC_LOOKUP`, `FOC_TABLE` and `FOC_EDGE` pick the
+//! configuration the measurements run on (farms keep the default table
+//! backend; the boot and restart costs use `FOC_TABLE`). They are read
+//! once, at the top of `main`, and an unknown value exits 2.
 
-use foc_bench::check::check_fail;
+use foc_bench::check::{check_fail, env_config};
 use foc_bench::farm_report::{
     farm_suite, measure_boot_cost, measure_record, measure_restart_cost, measure_unit_churn,
     measure_violation_throughput, render_farm_json, restart_cost_row_json, stress_sweep,
     thread_scaling, BootCost, FarmRecord, RecordShape, RestartCost, ScalingRow, StressRow,
     UnitChurn, ViolationThroughput,
 };
+use foc_memory::Mode;
+use foc_servers::conn::{Edge, EDGE_ENV};
+use foc_servers::{env_axis, BootSpec, ServerKind};
 
 fn print_summary(record: &FarmRecord) {
     print_reports(&record.reports);
@@ -99,9 +107,10 @@ fn print_stress(stress: &[StressRow], churn: &UnitChurn) {
     );
 }
 
-fn run_check() -> Result<(), String> {
+fn run_check(spec: &BootSpec, edge: &Edge) -> Result<(), String> {
+    let (tier, lookup, table) = (spec.tier, spec.lookup, spec.table);
     eprintln!("farm_scaling --check: miniature suite ...");
-    let reports = farm_suite(4);
+    let reports = farm_suite(4, tier, lookup, edge);
     if reports.len() != 5 * foc_memory::Mode::ALL.len() {
         return Err(format!(
             "suite covered {} cells, want every server x mode",
@@ -109,15 +118,15 @@ fn run_check() -> Result<(), String> {
         ));
     }
     // The sweep verifies report determinism across threads internally.
-    let scaling = thread_scaling(4, &[1, 2], 2)?;
-    let boot = measure_boot_cost(4);
+    let scaling = thread_scaling(4, &[1, 2], 2, tier, lookup, edge)?;
+    let boot = measure_boot_cost(4, tier, lookup, table);
     if boot.speedup() < 2.0 {
         return Err(format!(
             "interned images must beat cold compiles even on noisy hosts: {:.1}x",
             boot.speedup()
         ));
     }
-    let restart = measure_restart_cost(6);
+    let restart = measure_restart_cost(6, tier, lookup, table);
     if restart.speedup() < 2.0 {
         return Err(format!(
             "checkpoint restores must beat cold boot+replay even on noisy hosts: {:.1}x",
@@ -131,6 +140,8 @@ fn run_check() -> Result<(), String> {
         1,
         &foc_memory::TableKind::ALL,
         &foc_memory::LookupLayer::ALL,
+        tier,
+        edge,
     )?;
     let churn = measure_unit_churn(16, 2);
     let restart_rows = vec![restart_cost_row_json(&restart, &violation, "check")];
@@ -161,9 +172,14 @@ fn run_check() -> Result<(), String> {
 }
 
 fn main() {
+    let spec = env_config(
+        "farm_scaling",
+        BootSpec::from_env(ServerKind::Apache, Mode::FailureOblivious),
+    );
+    let edge: Edge = env_config("farm_scaling", env_axis(EDGE_ENV));
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
-        if let Err(msg) = run_check() {
+        if let Err(msg) = run_check(&spec, &edge) {
             check_fail("farm_scaling --check", &msg);
         }
         return;
@@ -181,7 +197,7 @@ fn main() {
 
     let path = "BENCH_farm.json";
     let previous = std::fs::read_to_string(path).ok();
-    let record = match measure_record(&shape, previous.as_deref()) {
+    let record = match measure_record(&shape, previous.as_deref(), &spec, &edge) {
         Ok(record) => record,
         Err(msg) => check_fail("farm_scaling", &msg),
     };

@@ -25,18 +25,25 @@
 //!   restricted to one backend (the CI `TableKind` job matrix runs one
 //!   backend per job; both lookup layers still run, so every matrix job
 //!   keeps a cross-cell equality check).
+//!
+//! `FOC_EXEC_TIER`, `FOC_LOOKUP`, `FOC_TABLE` and `FOC_EDGE` pick the
+//! configuration the measurements run on (the stress rows name their
+//! own backend and lookup layer). They are read once, at the top of
+//! `main`, and an unknown value exits 2.
 
-use foc_bench::check::check_fail;
+use foc_bench::check::{check_fail, env_config};
 use foc_bench::farm_report::{measure_record, measure_unit_churn, stress_sweep, RecordShape};
-use foc_memory::{LookupLayer, TableKind};
+use foc_memory::{LookupLayer, Mode, TableKind};
+use foc_servers::conn::{Edge, EDGE_ENV};
+use foc_servers::{env_axis, BootSpec, ServerKind};
 
-fn run_check(backends: &[TableKind]) -> Result<(), String> {
+fn run_check(backends: &[TableKind], spec: &BootSpec, edge: &Edge) -> Result<(), String> {
     eprintln!(
         "farm_stress --check: miniature stress sweep ({} backend(s) x {} layers) ...",
         backends.len(),
         LookupLayer::ALL.len()
     );
-    let rows = stress_sweep(96, 3, 2, backends, &LookupLayer::ALL)?;
+    let rows = stress_sweep(96, 3, 2, backends, &LookupLayer::ALL, spec.tier, edge)?;
     if rows.len() != backends.len() * LookupLayer::ALL.len() {
         return Err(format!(
             "{} rows for {} backends x {} layers",
@@ -91,6 +98,11 @@ fn run_check(backends: &[TableKind]) -> Result<(), String> {
 }
 
 fn main() {
+    let spec = env_config(
+        "farm_stress",
+        BootSpec::from_env(ServerKind::Apache, Mode::FailureOblivious),
+    );
+    let edge: Edge = env_config("farm_stress", env_axis(EDGE_ENV));
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--table <kind>` restricts the check to one backend (CI matrix).
     let mut backends: Vec<TableKind> = TableKind::ALL.to_vec();
@@ -109,7 +121,7 @@ fn main() {
         args.drain(at..at + 2);
     }
     if args.iter().any(|a| a == "--check") {
-        if let Err(msg) = run_check(&backends) {
+        if let Err(msg) = run_check(&backends, &spec, &edge) {
             check_fail("farm_stress --check", &msg);
         }
         return;
@@ -151,7 +163,7 @@ fn main() {
 
     let path = "BENCH_farm.json";
     let previous = std::fs::read_to_string(path).ok();
-    let record = match measure_record(&shape, previous.as_deref()) {
+    let record = match measure_record(&shape, previous.as_deref(), &spec, &edge) {
         Ok(record) => record,
         Err(msg) => check_fail("farm_stress", &msg),
     };

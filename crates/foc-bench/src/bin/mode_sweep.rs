@@ -21,16 +21,24 @@
 //!   matrix. Any semantic drift in the substrate exits nonzero with a
 //!   one-line diagnostic.
 //! * `... -- --threads N` — worker threads (default 4).
+//!
+//! `FOC_EXEC_TIER`, `FOC_LOOKUP` and `FOC_EDGE` pick the execution tier,
+//! lookup layer and request edge every run uses (`FOC_TABLE` is
+//! validated too, but each cell names its own backend). They are read
+//! once, at the top of `main`; an unknown value exits 2.
 
 use std::time::Instant;
 
-use foc_bench::check::check_fail;
+use foc_bench::check::{check_fail, env_config};
 use foc_bench::farm_report::{append_mode_sweep_row, mode_sweep_fingerprint, mode_sweep_row_json};
 use foc_bench::sweep_report::{
     diff_against_committed, merge_cells, parse_matrix_json, render_matrix_json,
     render_matrix_markdown, split_resume, MATRIX_MD_PATH, MATRIX_PATH,
 };
+use foc_memory::Mode;
+use foc_servers::conn::{Edge, EDGE_ENV};
 use foc_servers::sweep::{reference_transcripts, run_cells, SweepGrid, SweepMatrix, INPUT_LIBRARY};
+use foc_servers::{env_axis, BootSpec, ServerKind};
 
 /// Cells per incremental chunk: small enough that an interrupt loses
 /// little work, large enough that the work-stealing pool stays busy.
@@ -39,7 +47,7 @@ const CHUNK_CELLS: usize = 12;
 /// Inputs a sweep worker runs before yielding its cell back.
 const SLICE_INPUTS: usize = 4;
 
-fn run_check(threads: usize) -> Result<(), String> {
+fn run_check(threads: usize, spec: &BootSpec, edge: &Edge) -> Result<(), String> {
     let committed = std::fs::read_to_string(MATRIX_PATH)
         .map_err(|e| format!("cannot read committed {MATRIX_PATH}: {e}"))?;
     let committed = parse_matrix_json(&committed)?;
@@ -55,8 +63,16 @@ fn run_check(threads: usize) -> Result<(), String> {
         cells.len(),
         INPUT_LIBRARY.len()
     );
-    let reference = reference_transcripts();
-    let fresh = run_cells(&cells, &reference, threads, SLICE_INPUTS);
+    let reference = reference_transcripts(spec.tier, spec.lookup, edge);
+    let fresh = run_cells(
+        &cells,
+        &reference,
+        threads,
+        SLICE_INPUTS,
+        spec.tier,
+        spec.lookup,
+        edge,
+    );
     let compared = diff_against_committed(&committed, &reference, &fresh)?;
     println!(
         "mode_sweep --check OK ({} cells, {compared} runs match the committed matrix)",
@@ -65,11 +81,11 @@ fn run_check(threads: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn run_full(threads: usize, resume: bool) {
+fn run_full(threads: usize, resume: bool, spec: &BootSpec, edge: &Edge) {
     let grid = SweepGrid::full();
     let all = grid.cells();
     let started = Instant::now();
-    let reference = reference_transcripts();
+    let reference = reference_transcripts(spec.tier, spec.lookup, edge);
 
     let parsed = if resume {
         match std::fs::read_to_string(MATRIX_PATH) {
@@ -99,7 +115,15 @@ fn run_full(threads: usize, resume: bool) {
     // after each chunk so an interrupted sweep can resume.
     let mut done = reused;
     for (i, chunk) in missing.chunks(CHUNK_CELLS).enumerate() {
-        let fresh = run_cells(chunk, &reference, threads, SLICE_INPUTS);
+        let fresh = run_cells(
+            chunk,
+            &reference,
+            threads,
+            SLICE_INPUTS,
+            spec.tier,
+            spec.lookup,
+            edge,
+        );
         done.extend(fresh);
         // Partial file: completed cells only, canonical grid order.
         let completed: Vec<_> = all
@@ -153,7 +177,7 @@ fn run_full(threads: usize, resume: bool) {
         INPUT_LIBRARY.len(),
         threads,
         wall_ms,
-        &mode_sweep_fingerprint(matrix.cells.len(), INPUT_LIBRARY.len(), threads),
+        &mode_sweep_fingerprint(matrix.cells.len(), INPUT_LIBRARY.len(), threads, spec.tier),
     );
     match std::fs::read_to_string("BENCH_farm.json") {
         Ok(bench) => match append_mode_sweep_row(&bench, &row) {
@@ -173,6 +197,11 @@ fn run_full(threads: usize, resume: bool) {
 }
 
 fn main() {
+    let spec = env_config(
+        "mode_sweep",
+        BootSpec::from_env(ServerKind::Apache, Mode::FailureOblivious),
+    );
+    let edge: Edge = env_config("mode_sweep", env_axis(EDGE_ENV));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads = 4usize;
     let mut check = false;
@@ -198,10 +227,10 @@ fn main() {
         }
     }
     if check {
-        if let Err(msg) = run_check(threads) {
+        if let Err(msg) = run_check(threads, &spec, &edge) {
             check_fail("mode_sweep --check", &msg);
         }
         return;
     }
-    run_full(threads, resume);
+    run_full(threads, resume, &spec, &edge);
 }

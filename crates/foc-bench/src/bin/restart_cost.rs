@@ -15,12 +15,18 @@
 //!   checkpoint restore beats a cold boot + replay by at least 5×, and
 //!   that the manufactured-loop measurement runs at all. Exits nonzero
 //!   with a one-line diagnostic otherwise.
+//!
+//! `FOC_EXEC_TIER`, `FOC_LOOKUP` and `FOC_TABLE` pick the configuration
+//! Pine boots under; they are read once, at the top of `main`, and an
+//! unknown value exits 2.
 
-use foc_bench::check::{check_fail, check_gate, parse_reps, record_farm_row};
+use foc_bench::check::{check_fail, check_gate, env_config, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
     append_restart_cost_row, measure_restart_cost, measure_violation_throughput,
     restart_cost_fingerprint, restart_cost_row_json, RestartCost, ViolationThroughput,
 };
+use foc_memory::Mode;
+use foc_servers::{BootSpec, ServerKind};
 
 fn print_measurement(cost: &RestartCost, violation: &ViolationThroughput) {
     eprintln!(
@@ -39,9 +45,9 @@ fn print_measurement(cost: &RestartCost, violation: &ViolationThroughput) {
     );
 }
 
-fn run_check() -> Result<(), String> {
+fn run_check(spec: &BootSpec) -> Result<(), String> {
     eprintln!("restart_cost --check: checkpoint restore vs cold boot+replay ...");
-    let cost = measure_restart_cost(8);
+    let cost = measure_restart_cost(8, spec.tier, spec.lookup, spec.table);
     let violation = measure_violation_throughput(2);
     print_measurement(&cost, &violation);
     check_gate(
@@ -65,18 +71,26 @@ fn run_check() -> Result<(), String> {
 }
 
 fn main() {
+    let spec = env_config(
+        "restart_cost",
+        BootSpec::from_env(ServerKind::Pine, Mode::FailureOblivious),
+    );
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
-        if let Err(msg) = run_check() {
+        if let Err(msg) = run_check(&spec) {
             check_fail("restart_cost --check", &msg);
         }
         return;
     }
     let reps = parse_reps("restart_cost", &args, 24);
-    let cost = measure_restart_cost(reps);
+    let cost = measure_restart_cost(reps, spec.tier, spec.lookup, spec.table);
     let violation = measure_violation_throughput(reps.clamp(3, 8));
     print_measurement(&cost, &violation);
 
-    let row = restart_cost_row_json(&cost, &violation, &restart_cost_fingerprint(reps));
+    let row = restart_cost_row_json(
+        &cost,
+        &violation,
+        &restart_cost_fingerprint(reps, spec.tier),
+    );
     record_farm_row("restart_cost", &row, append_restart_cost_row);
 }

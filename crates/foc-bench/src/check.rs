@@ -8,6 +8,8 @@
 //! into `BENCH_farm.json`. The helpers here are that surface, written
 //! once; the bins contribute only their measurement and its wording.
 
+use foc_servers::EnvError;
+
 /// Gates `ratio` against the `min` floor. `name` describes the measured
 /// quantity ("superinstruction tier over baseline interpretation
 /// rate"); `detail` carries the raw readings for the diagnostic ("412.0
@@ -43,6 +45,18 @@ pub fn parse_reps(bin: &str, args: &[String], default: usize) -> usize {
             }
         },
     }
+}
+
+/// Unwraps a configuration value a bin parsed from the environment at
+/// the top of its `main` ([`foc_servers::BootSpec::from_env`],
+/// [`foc_servers::env_axis`]), exiting with usage code 2 and the
+/// one-line [`EnvError`] diagnostic on an unknown value, so a typo never
+/// silently measures or gates a different configuration.
+pub fn env_config<T>(bin: &str, parsed: Result<T, EnvError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Upserts one pre-rendered trajectory row into `BENCH_farm.json` via

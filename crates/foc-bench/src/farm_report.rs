@@ -22,6 +22,7 @@ use foc_memory::{
 use foc_servers::conn::{slo_within_basis_points, Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig, FarmReport, ServerKind};
 use foc_servers::latency::LatencyHist;
+use foc_servers::{BootSpec, ExecTier, Process};
 
 /// Shape of the recorded suite: every server kind under every mode.
 pub fn suite_config(kind: ServerKind, mode: Mode, requests: usize) -> FarmConfig {
@@ -30,12 +31,22 @@ pub fn suite_config(kind: ServerKind, mode: Mode, requests: usize) -> FarmConfig
     config
 }
 
-/// Runs the full kind × mode matrix.
-pub fn farm_suite(requests: usize) -> Vec<FarmReport> {
+/// Runs the full kind × mode matrix on execution tier `tier` and lookup
+/// layer `lookup`, over request edge `edge`.
+pub fn farm_suite(
+    requests: usize,
+    tier: ExecTier,
+    lookup: LookupLayer,
+    edge: &Edge,
+) -> Vec<FarmReport> {
     let mut reports = Vec::new();
     for kind in ServerKind::ALL {
         for mode in Mode::ALL {
-            reports.push(run_farm(&suite_config(kind, mode, requests)));
+            let config = suite_config(kind, mode, requests)
+                .with_tier(tier)
+                .with_lookup(lookup)
+                .with_edge(edge.clone());
+            reports.push(run_farm(&config));
         }
     }
     reports
@@ -61,14 +72,21 @@ pub struct ScalingRow {
 /// request of the fast servers, so the sweep actually exposes parallel
 /// speedup. The deterministic stats are identical across every run
 /// (asserted), so the wall-time statistics isolate parallelism alone.
+/// The farm runs on `tier` and `lookup`, over `edge`.
 pub fn thread_scaling(
     requests: usize,
     thread_counts: &[usize],
     reps: usize,
+    tier: ExecTier,
+    lookup: LookupLayer,
+    edge: &Edge,
 ) -> Result<Vec<ScalingRow>, String> {
     let reps = reps.max(1);
     let base = {
-        let mut c = suite_config(ServerKind::Pine, Mode::FailureOblivious, requests);
+        let mut c = suite_config(ServerKind::Pine, Mode::FailureOblivious, requests)
+            .with_tier(tier)
+            .with_lookup(lookup)
+            .with_edge(edge.clone());
         c.servers = thread_counts.iter().copied().max().unwrap_or(4).max(4);
         c
     };
@@ -143,31 +161,37 @@ impl BootCost {
 /// layer changed — compile (cold only) plus loading the image into a
 /// fresh machine; the driver-side environment replay (documents, rewrite
 /// rules, mailboxes) is the same work in both flavours and is measured
-/// separately by the `boot_cost` criterion bench's worker lines.
-pub fn measure_boot_cost(reps: usize) -> BootCost {
+/// separately by the `boot_cost` criterion bench's worker lines. Both
+/// arms boot the same spec (execution tier `tier`, lookup layer
+/// `lookup`, table backend `table`), so the cold arm compiles that tier,
+/// fusion and native lowering included.
+pub fn measure_boot_cost(
+    reps: usize,
+    tier: ExecTier,
+    lookup: LookupLayer,
+    table: TableKind,
+) -> BootCost {
     let reps = reps.max(1);
     let kind = ServerKind::Apache;
-    let mode = Mode::FailureOblivious;
+    let spec = BootSpec::new(kind, Mode::FailureOblivious)
+        .with_tier(tier)
+        .with_lookup(lookup)
+        .with_table(table);
     // Populate the cache first so "cached" measures the steady state
     // every farm boot and restart after the very first one sees.
-    black_box(kind.image());
+    black_box(kind.image_tier(spec.tier));
 
     let mut cold = Vec::with_capacity(reps);
     let mut cached = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
-        black_box(foc_servers::Process::boot_source(
-            kind.source(),
-            mode,
-            kind.fuel(),
-        ));
+        let image = foc_compiler::compile_image_tier(kind.source(), spec.tier)
+            .expect("Apache source compiles");
+        black_box(Process::boot_spec(&image, &spec));
         cold.push(t.elapsed().as_nanos() as f64);
 
         let t = Instant::now();
-        black_box(foc_servers::Process::boot_spec(
-            &kind.image(),
-            &foc_servers::BootSpec::new(kind, mode),
-        ));
+        black_box(Process::boot_spec(&kind.image_tier(spec.tier), &spec));
         cached.push(t.elapsed().as_nanos() as f64);
     }
     let c = robust_summary(&cold);
@@ -219,13 +243,22 @@ impl RestartCost {
 /// the uncached full boot (interned image, `pine_init`, standard
 /// mailbox adds, index build); "restore" is what every farm restart now
 /// executes: a snapshot restore from the per-spec checkpoint cache.
-pub fn measure_restart_cost(reps: usize) -> RestartCost {
-    use foc_servers::image::{standard_pine_mailbox, ServerKind};
-    use foc_servers::BootSpec;
+/// Both run on execution tier `tier`, lookup layer `lookup` and table
+/// backend `table`.
+pub fn measure_restart_cost(
+    reps: usize,
+    tier: ExecTier,
+    lookup: LookupLayer,
+    table: TableKind,
+) -> RestartCost {
+    use foc_servers::image::standard_pine_mailbox;
 
     let reps = reps.max(1);
-    let spec = BootSpec::new(ServerKind::Pine, Mode::FailureOblivious);
-    let image = ServerKind::Pine.image();
+    let spec = BootSpec::new(ServerKind::Pine, Mode::FailureOblivious)
+        .with_tier(tier)
+        .with_lookup(lookup)
+        .with_table(table);
+    let image = ServerKind::Pine.image_tier(spec.tier);
     // Warm both layers so the measurement sees the steady state.
     black_box(foc_servers::pine::Pine::boot_spec(
         &spec,
@@ -782,16 +815,21 @@ pub fn stress_config(servers: usize, requests: usize) -> FarmConfig {
 /// violation is returned as a one-line diagnostic (the `--check` bins
 /// exit nonzero with it instead of dumping a panic backtrace into CI
 /// logs). Pass [`TableKind::ALL`] × [`LookupLayer::ALL`] for the
-/// recorded sweep or a single cell for a CI matrix job.
+/// recorded sweep or a single cell for a CI matrix job. Every cell runs
+/// on execution tier `tier`, over request edge `edge`.
 pub fn stress_sweep(
     servers: usize,
     requests: usize,
     reps: usize,
     backends: &[TableKind],
     layers: &[LookupLayer],
+    tier: ExecTier,
+    edge: &Edge,
 ) -> Result<Vec<StressRow>, String> {
     let reps = reps.max(1);
-    let base = stress_config(servers, requests);
+    let base = stress_config(servers, requests)
+        .with_tier(tier)
+        .with_edge(edge.clone());
     let mut reference: Option<FarmReport> = None;
     let mut rows = Vec::new();
     for &backend in backends {
@@ -1083,22 +1121,35 @@ impl FarmRecord {
 /// Runs every measurement of the record at the given shape, carrying
 /// forward any `restart_cost` and `mode_sweep` rows from
 /// `previous_json` (the old record's contents, when the caller has
-/// one) so regeneration never drops trajectory history.
+/// one) so regeneration never drops trajectory history. `spec` names
+/// the execution tier, lookup layer and table backend the measurements
+/// run on (farms keep their own table backend, as the stress sweep
+/// varies it); `edge` carries the farms' requests.
 pub fn measure_record(
     shape: &RecordShape,
     previous_json: Option<&str>,
+    spec: &BootSpec,
+    edge: &Edge,
 ) -> Result<FarmRecord, String> {
+    let (tier, lookup, table) = (spec.tier, spec.lookup, spec.table);
     eprintln!(
         "running farm suite: 5 servers x 5 modes, {} requests/server ...",
         shape.requests
     );
-    let reports = farm_suite(shape.requests);
+    let reports = farm_suite(shape.requests, tier, lookup, edge);
     eprintln!("running thread-scaling sweep (Pine, failure-oblivious) ...");
-    let scaling = thread_scaling(shape.requests, &shape.scaling_threads, shape.scaling_reps)?;
+    let scaling = thread_scaling(
+        shape.requests,
+        &shape.scaling_threads,
+        shape.scaling_reps,
+        tier,
+        lookup,
+        edge,
+    )?;
     eprintln!("measuring boot cost (cold compile vs cached image) ...");
-    let boot = measure_boot_cost(shape.boot_reps);
+    let boot = measure_boot_cost(shape.boot_reps, tier, lookup, table);
     eprintln!("measuring restart cost (checkpoint restore vs cold boot+replay) ...");
-    let restart = measure_restart_cost(shape.restart_reps);
+    let restart = measure_restart_cost(shape.restart_reps, tier, lookup, table);
     let violation = measure_violation_throughput(shape.restart_reps.clamp(3, 8));
     // The recorded sweep covers the three structural backends plus the
     // adaptive wrapper, each under both lookup layers.
@@ -1121,6 +1172,8 @@ pub fn measure_record(
         shape.stress_reps,
         &stress_backends,
         &LookupLayer::ALL,
+        tier,
+        edge,
     )?;
     eprintln!("measuring unit-store churn (arena vs seed boxed baseline) ...");
     let churn = measure_unit_churn(shape.stress_servers, shape.churn_reps);
@@ -1132,7 +1185,7 @@ pub fn measure_record(
         restart_cost_row_json(
             &restart,
             &violation,
-            &restart_cost_fingerprint(shape.restart_reps),
+            &restart_cost_fingerprint(shape.restart_reps, tier),
         ),
     );
     Ok(FarmRecord {
@@ -1185,11 +1238,10 @@ fn fingerprint_of(parts: &[&str]) -> String {
 }
 
 /// Fingerprint for a `restart_cost` trajectory row: schema tag, the
-/// five standard server image identities at the active execution tier
-/// (any guest-source or lowering change reshapes them), the
-/// manufactured violation loop's baseline image, and the rep count.
-pub fn restart_cost_fingerprint(reps: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
+/// five standard server image identities at execution tier `tier` (any
+/// guest-source or lowering change reshapes them), the manufactured
+/// violation loop's baseline image, and the rep count.
+pub fn restart_cost_fingerprint(reps: usize, tier: ExecTier) -> String {
     let mut parts: Vec<String> = vec!["restart_cost/v2".to_string(), tier.label().to_string()];
     for kind in ServerKind::ALL {
         parts.push(kind.image_tier(tier).id().to_string());
@@ -1203,10 +1255,14 @@ pub fn restart_cost_fingerprint(reps: usize) -> String {
 }
 
 /// Fingerprint for a `mode_sweep` trajectory row: schema tag, sweep
-/// shape, execution tier, and the five server image identities the
-/// sweep interpreted.
-pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
+/// shape, execution tier `tier`, and the five server image identities
+/// the sweep interpreted.
+pub fn mode_sweep_fingerprint(
+    cells: usize,
+    inputs: usize,
+    threads: usize,
+    tier: ExecTier,
+) -> String {
     let mut parts: Vec<String> = vec![
         "mode_sweep/v2".to_string(),
         tier.label().to_string(),
@@ -1764,8 +1820,11 @@ impl ConnCost {
 /// The conn_cost farm: Apache under the failure-oblivious policy with
 /// the standard attack mix — the highest-request-rate server, so the
 /// per-request transport overhead is the dominant term being measured.
-fn conn_cost_config(edge: Edge) -> FarmConfig {
-    let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious).with_edge(edge);
+fn conn_cost_config(edge: Edge, tier: ExecTier, lookup: LookupLayer) -> FarmConfig {
+    let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious)
+        .with_edge(edge)
+        .with_tier(tier)
+        .with_lookup(lookup);
     config.servers = CONN_COST_SERVERS;
     config.requests_per_server = CONN_COST_REQUESTS;
     config
@@ -1789,14 +1848,15 @@ fn conn_cost_edges() -> [Edge; 4] {
 
 /// Measures [`ConnCost`]: `reps` timed farm runs per edge, asserting
 /// every edge's report equal to the in-process reference — the bench
-/// doubles as an equivalence check on the exact traffic it times.
-pub fn measure_conn_cost(reps: usize) -> ConnCost {
+/// doubles as an equivalence check on the exact traffic it times. The
+/// farm runs on execution tier `tier` and lookup layer `lookup`.
+pub fn measure_conn_cost(reps: usize, tier: ExecTier, lookup: LookupLayer) -> ConnCost {
     let reps = reps.max(1);
     let requests_total = (CONN_COST_SERVERS * CONN_COST_REQUESTS) as f64;
     let mut reference: Option<FarmReport> = None;
     let mut rates = Vec::with_capacity(4);
     for edge in conn_cost_edges() {
-        let config = conn_cost_config(edge.clone());
+        let config = conn_cost_config(edge.clone(), tier, lookup);
         let mut walls = Vec::with_capacity(reps);
         for _ in 0..reps {
             let report = run_farm(&config);
@@ -1833,15 +1893,16 @@ pub fn measure_conn_cost(reps: usize) -> ConnCost {
 
 /// Runs the 100k-connection smoke farm once over the flooded socket
 /// edge and returns its report plus the number of simulated connection
-/// attempts the run opened (pool + flood, per server).
-pub fn conn_cost_smoke() -> (FarmReport, u64) {
+/// attempts the run opened (pool + flood, per server). The farm runs on
+/// execution tier `tier` and lookup layer `lookup`.
+pub fn conn_cost_smoke(tier: ExecTier, lookup: LookupLayer) -> (FarmReport, u64) {
     let edge = Edge::Socket(SocketEdge {
         connections: CONN_SMOKE_POOL,
         backlog: CONN_SMOKE_BACKLOG,
         flood: CONN_SMOKE_FLOOD,
         scenario: Scenario::Clean,
     });
-    let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious).with_edge(edge);
+    let mut config = conn_cost_config(edge, tier, lookup);
     config.servers = CONN_SMOKE_SERVERS;
     config.requests_per_server = CONN_SMOKE_REQUESTS;
     let connections = (CONN_SMOKE_SERVERS * (CONN_SMOKE_POOL + CONN_SMOKE_FLOOD)) as u64;
@@ -1849,10 +1910,9 @@ pub fn conn_cost_smoke() -> (FarmReport, u64) {
 }
 
 /// Fingerprint for a `conn_cost` trajectory row: schema tag, execution
-/// tier, the Apache image identity (the measured guest), the farm and
-/// connection-pool shape, the SLO multiplier, and the rep count.
-pub fn conn_cost_fingerprint(reps: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
+/// tier `tier`, the Apache image identity (the measured guest), the farm
+/// and connection-pool shape, the SLO multiplier, and the rep count.
+pub fn conn_cost_fingerprint(reps: usize, tier: ExecTier) -> String {
     let pool = SocketEdge::default();
     let parts: Vec<String> = vec![
         "conn_cost/v1".to_string(),
@@ -2259,7 +2319,16 @@ mod tests {
             cached_ci95_ns: 500.0,
             reps: 10,
         };
-        let stress = stress_sweep(3, 3, 1, &TableKind::ALL, &LookupLayer::ALL).expect("contract");
+        let stress = stress_sweep(
+            3,
+            3,
+            1,
+            &TableKind::ALL,
+            &LookupLayer::ALL,
+            ExecTier::default(),
+            &Edge::default(),
+        )
+        .expect("contract");
         let churn = measure_unit_churn(4, 2);
         let restart = RestartCost {
             cold_ns: 500_000.0,
@@ -2511,7 +2580,16 @@ mod tests {
 
     #[test]
     fn stress_sweep_rows_agree_across_backends_and_layers() {
-        let rows = stress_sweep(4, 5, 2, &TableKind::ALL, &LookupLayer::ALL).expect("contract");
+        let rows = stress_sweep(
+            4,
+            5,
+            2,
+            &TableKind::ALL,
+            &LookupLayer::ALL,
+            ExecTier::default(),
+            &Edge::default(),
+        )
+        .expect("contract");
         assert_eq!(rows.len(), TableKind::ALL.len() * LookupLayer::ALL.len());
         for pair in rows.windows(2) {
             assert_eq!(
@@ -2561,7 +2639,12 @@ mod tests {
         // is far larger (compilation runs the whole front end + lowering
         // while a cached boot only loads globals), so 5× holds with room
         // even on noisy CI hosts.
-        let boot = measure_boot_cost(12);
+        let boot = measure_boot_cost(
+            12,
+            ExecTier::default(),
+            LookupLayer::default(),
+            TableKind::default(),
+        );
         assert!(
             boot.speedup() >= 5.0,
             "cached-image boot must be ≥5× faster: cold {:.0}ns vs cached {:.0}ns ({:.1}×)",
@@ -2577,7 +2660,12 @@ mod tests {
         // the PR 2 boot-cost gate: restoring the frozen Pine snapshot
         // must beat re-running boot plus mailbox replay by 5x with
         // room to spare even on noisy CI hosts.
-        let cost = measure_restart_cost(12);
+        let cost = measure_restart_cost(
+            12,
+            ExecTier::default(),
+            LookupLayer::default(),
+            TableKind::default(),
+        );
         assert!(
             cost.speedup() >= 5.0,
             "checkpoint restore must be ≥5× faster: cold {:.0}ns vs restore {:.0}ns ({:.1}×)",
@@ -2686,23 +2774,35 @@ mod tests {
         assert_eq!(dispatch_cost_fingerprint(8), dispatch_cost_fingerprint(8));
         assert_ne!(dispatch_cost_fingerprint(8), dispatch_cost_fingerprint(24));
         assert_eq!(
-            mode_sweep_fingerprint(150, 17, 4),
-            mode_sweep_fingerprint(150, 17, 4)
+            mode_sweep_fingerprint(150, 17, 4, ExecTier::default()),
+            mode_sweep_fingerprint(150, 17, 4, ExecTier::default())
         );
         assert_ne!(
-            mode_sweep_fingerprint(150, 17, 4),
-            mode_sweep_fingerprint(150, 17, 8)
+            mode_sweep_fingerprint(150, 17, 4, ExecTier::default()),
+            mode_sweep_fingerprint(150, 17, 8, ExecTier::default())
         );
-        assert_eq!(restart_cost_fingerprint(24), restart_cost_fingerprint(24));
-        assert_ne!(restart_cost_fingerprint(24), restart_cost_fingerprint(8));
+        assert_eq!(
+            restart_cost_fingerprint(24, ExecTier::default()),
+            restart_cost_fingerprint(24, ExecTier::default())
+        );
+        assert_ne!(
+            restart_cost_fingerprint(24, ExecTier::default()),
+            restart_cost_fingerprint(8, ExecTier::default())
+        );
         assert_eq!(access_cost_fingerprint(8), access_cost_fingerprint(8));
         assert_ne!(access_cost_fingerprint(8), access_cost_fingerprint(24));
         assert_eq!(native_cost_fingerprint(8), native_cost_fingerprint(8));
         assert_ne!(native_cost_fingerprint(8), native_cost_fingerprint(24));
         assert_eq!(mem_cost_fingerprint(8), mem_cost_fingerprint(8));
         assert_ne!(mem_cost_fingerprint(8), mem_cost_fingerprint(24));
-        assert_eq!(conn_cost_fingerprint(8), conn_cost_fingerprint(8));
-        assert_ne!(conn_cost_fingerprint(8), conn_cost_fingerprint(24));
+        assert_eq!(
+            conn_cost_fingerprint(8, ExecTier::default()),
+            conn_cost_fingerprint(8, ExecTier::default())
+        );
+        assert_ne!(
+            conn_cost_fingerprint(8, ExecTier::default()),
+            conn_cost_fingerprint(24, ExecTier::default())
+        );
         assert_ne!(
             native_cost_fingerprint(8),
             dispatch_cost_fingerprint(8),
@@ -2719,7 +2819,15 @@ mod tests {
 
     #[test]
     fn thread_scaling_rows_carry_confidence_intervals() {
-        let rows = thread_scaling(4, &[1, 2], 3).expect("determinism");
+        let rows = thread_scaling(
+            4,
+            &[1, 2],
+            3,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        )
+        .expect("determinism");
         assert_eq!(rows.len(), 2);
         for row in rows {
             assert_eq!(row.reps, 3);

@@ -422,10 +422,17 @@ pub fn diff_against_committed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_memory::LookupLayer;
+    use foc_servers::conn::Edge;
     use foc_servers::sweep::{reference_transcripts, run_cells, SweepGrid, SweepMatrix};
+    use foc_servers::ExecTier;
 
     fn tiny_matrix() -> SweepMatrix {
-        let reference = reference_transcripts();
+        let reference = reference_transcripts(
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         let grid = SweepGrid {
             modes: vec![
                 foc_memory::Mode::Standard,
@@ -435,7 +442,15 @@ mod tests {
             fuels: vec![foc_servers::sweep::FuelBudget::Tight],
             tables: vec![foc_memory::TableKind::Splay],
         };
-        let cells = run_cells(&grid.cells(), &reference, 2, 4);
+        let cells = run_cells(
+            &grid.cells(),
+            &reference,
+            2,
+            4,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         SweepMatrix {
             grid,
             reference,
@@ -501,7 +516,15 @@ mod tests {
         assert_eq!(missing.len(), all.len());
         // Merge restores canonical order from scattered parts.
         let (reused, missing) = split_resume(&all, Some(&truncated), &matrix.reference);
-        let fresh = run_cells(&missing, &matrix.reference, 1, 8);
+        let fresh = run_cells(
+            &missing,
+            &matrix.reference,
+            1,
+            8,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         let merged = merge_cells(&all, vec![reused, fresh]);
         assert_eq!(merged, matrix.cells);
     }

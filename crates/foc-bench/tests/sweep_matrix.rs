@@ -18,11 +18,13 @@ use proptest::prelude::*;
 use foc_bench::sweep_report::{
     merge_cells, parse_matrix_json, render_matrix_json, render_matrix_markdown, split_resume,
 };
-use foc_memory::{Mode, TableKind, ValueSequence};
+use foc_memory::{LookupLayer, Mode, TableKind, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{
     reference_transcripts, run_cell, run_cells, CellSpec, FuelBudget, SweepGrid, SweepMatrix,
     INPUT_LIBRARY,
 };
+use foc_servers::ExecTier;
 
 /// A grid small enough for tests but wide enough to hit every class:
 /// Standard (policy kills), Bounds Check (restart exhaustion),
@@ -38,8 +40,20 @@ fn test_grid() -> SweepGrid {
 }
 
 fn matrix_for(grid: &SweepGrid, threads: usize, slice: usize) -> SweepMatrix {
-    let reference = reference_transcripts();
-    let cells = run_cells(&grid.cells(), &reference, threads, slice);
+    let reference = reference_transcripts(
+        ExecTier::default(),
+        LookupLayer::default(),
+        &Edge::default(),
+    );
+    let cells = run_cells(
+        &grid.cells(),
+        &reference,
+        threads,
+        slice,
+        ExecTier::default(),
+        LookupLayer::default(),
+        &Edge::default(),
+    );
     SweepMatrix {
         grid: grid.clone(),
         reference,
@@ -77,12 +91,24 @@ fn resume_after_interrupt_completes_to_identical_bytes() {
 
     // Resume: parse the partial file, reuse what matches, run the rest.
     let parsed = parse_matrix_json(&partial_json).expect("parse partial");
-    let reference = reference_transcripts();
+    let reference = reference_transcripts(
+        ExecTier::default(),
+        LookupLayer::default(),
+        &Edge::default(),
+    );
     let all = grid.cells();
     let (reused, missing) = split_resume(&all, Some(&parsed), &reference);
     assert_eq!(reused.len(), 5, "the partial cells must be reusable");
     assert_eq!(missing.len(), all.len() - 5);
-    let fresh = run_cells(&missing, &reference, 2, 4);
+    let fresh = run_cells(
+        &missing,
+        &reference,
+        2,
+        4,
+        ExecTier::default(),
+        LookupLayer::default(),
+        &Edge::default(),
+    );
     let resumed = SweepMatrix {
         grid,
         reference,
@@ -131,11 +157,11 @@ proptest! {
         slice in 1usize..(INPUT_LIBRARY.len() + 4),
         skip in 0usize..6,
     ) {
-        let reference = reference_transcripts();
+        let reference = reference_transcripts(ExecTier::default(), LookupLayer::default(), &Edge::default());
         let all = test_grid().cells();
         let cells: Vec<CellSpec> = all.into_iter().skip(skip).take(3).collect();
-        let scheduled = run_cells(&cells, &reference, threads, slice);
-        let sequential: Vec<_> = cells.iter().map(|c| run_cell(c, &reference)).collect();
+        let scheduled = run_cells(&cells, &reference, threads, slice, ExecTier::default(), LookupLayer::default(), &Edge::default());
+        let sequential: Vec<_> = cells.iter().map(|c| run_cell(c, &reference, ExecTier::default(), LookupLayer::default(), &Edge::default())).collect();
         prop_assert_eq!(scheduled, sequential);
     }
 }

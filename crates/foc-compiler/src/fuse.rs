@@ -33,8 +33,6 @@
 //! division stays unfused because its divide-by-zero fault point must
 //! remain a separate architectural instruction.
 
-use std::sync::OnceLock;
-
 use foc_memory::AccessSize;
 
 use crate::bytecode::{pack_scalar, AluOp, CmpOp, CompiledProgram, Instr};
@@ -60,9 +58,11 @@ pub enum ExecTier {
     Native,
 }
 
-/// Environment variable selecting the session-default tier
-/// (`baseline`, `super`, or `native`; unset means
-/// [`ExecTier::default`]).
+/// Environment variable naming an execution tier (`baseline`, `super`,
+/// or `native`; unset means [`ExecTier::default`]). No library code
+/// reads it: bench binaries parse it once in `main` through
+/// `foc-servers`' `BootSpec::from_env`, and `loadbench` refuses to run
+/// while it is set.
 pub const EXEC_TIER_ENV: &str = "FOC_EXEC_TIER";
 
 impl ExecTier {
@@ -85,23 +85,6 @@ impl ExecTier {
             ExecTier::Super => "super",
             ExecTier::Native => "native",
         }
-    }
-
-    /// The session default from `FOC_EXEC_TIER`; unset means
-    /// [`ExecTier::default`].
-    /// An unknown value is a configuration error: the process exits with
-    /// a one-line diagnostic listing the valid tiers rather than
-    /// silently running a different tier than the operator asked for.
-    /// Read once per process.
-    pub fn from_env() -> ExecTier {
-        static TIER: OnceLock<ExecTier> = OnceLock::new();
-        *TIER.get_or_init(|| match std::env::var(EXEC_TIER_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{EXEC_TIER_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => ExecTier::default(),
-        })
     }
 }
 

@@ -77,29 +77,13 @@ impl LookupLayer {
             LookupLayer::Paged => "paged",
         }
     }
-
-    /// The layer selected by the [`LOOKUP_ENV`] environment variable,
-    /// or the default. Like `ExecTier::from_env`, an unknown value is a
-    /// configuration error: the process exits with a one-line
-    /// diagnostic listing the valid layers rather than silently running
-    /// a different lookup path than the operator asked for (the layers
-    /// are observationally identical, but the bench gates are not).
-    /// Read once per process. Library embedders who want an error value
-    /// instead of an exit parse through `FromStr` (what
-    /// `foc-servers`' `BootSpec::from_env` does).
-    pub fn from_env() -> LookupLayer {
-        static LAYER: std::sync::OnceLock<LookupLayer> = std::sync::OnceLock::new();
-        *LAYER.get_or_init(|| match std::env::var(LOOKUP_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{LOOKUP_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => LookupLayer::default(),
-        })
-    }
 }
 
-/// Environment variable selecting the in-bounds lookup layer.
+/// Environment variable naming an in-bounds lookup layer (`table` or
+/// `paged`; unset means [`LookupLayer::default`]). No library code
+/// reads it: bench binaries parse it once in `main` through
+/// `foc-servers`' `BootSpec::from_env`, and `loadbench` refuses to run
+/// while it is set.
 pub const LOOKUP_ENV: &str = "FOC_LOOKUP";
 
 impl fmt::Display for LookupLayer {

@@ -95,27 +95,10 @@ impl TableKind {
     }
 }
 
-impl TableKind {
-    /// The backend selected by the [`TABLE_ENV`] environment variable,
-    /// or the default. Strict like `ExecTier::from_env` and
-    /// `LookupLayer::from_env`: an unknown value exits with a one-line
-    /// diagnostic rather than silently benchmarking a different
-    /// backend. Read once per process; `BootSpec::from_env` in
-    /// `foc-servers` parses through `FromStr` for an error value
-    /// instead.
-    pub fn from_env() -> TableKind {
-        static KIND: std::sync::OnceLock<TableKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var(TABLE_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{TABLE_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => TableKind::default(),
-        })
-    }
-}
-
-/// Environment variable selecting the object-table backend.
+/// Environment variable naming an object-table backend (unset means
+/// [`TableKind::default`]). No library code reads it: bench binaries
+/// parse it once in `main` through `foc-servers`' `BootSpec::from_env`,
+/// and `loadbench` refuses to run while it is set.
 pub const TABLE_ENV: &str = "FOC_TABLE";
 
 impl fmt::Display for TableKind {

@@ -24,7 +24,7 @@
 //!   occur in irrelevant data).
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+use foc_memory::Mode;
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -241,36 +241,6 @@ pub struct ApacheCheckpoint {
 }
 
 impl ApacheWorker {
-    /// Legacy convenience over [`ApacheWorker::boot_spec`] with a
-    /// default spec for `mode`; prefer constructing a [`BootSpec`] at
-    /// the call site.
-    pub fn boot(mode: Mode) -> ApacheWorker {
-        ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode))
-    }
-
-    /// Legacy convenience over [`ApacheWorker::boot_spec`] for the mode
-    /// × table subset; prefer constructing a [`BootSpec`] at the call
-    /// site.
-    pub fn boot_table(mode: Mode, table: TableKind) -> ApacheWorker {
-        ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode).with_table(table))
-    }
-
-    /// Legacy convenience over [`ApacheWorker::boot_image_spec`];
-    /// prefer constructing a [`BootSpec`] at the call site.
-    pub fn from_image(image: &ProgramImage, mode: Mode) -> ApacheWorker {
-        ApacheWorker::boot_image_spec(image, &BootSpec::new(ServerKind::Apache, mode))
-    }
-
-    /// Legacy convenience over [`ApacheWorker::boot_image_spec`] for
-    /// the mode × table subset; prefer constructing a [`BootSpec`] at
-    /// the call site.
-    pub fn from_image_table(image: &ProgramImage, mode: Mode, table: TableKind) -> ApacheWorker {
-        ApacheWorker::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Apache, mode).with_table(table),
-        )
-    }
-
     /// Boots one worker from a full [`BootSpec`]: restored from the
     /// per-spec boot checkpoint, so farm boots, pool respawns, and
     /// supervised restarts cost a snapshot restore instead of the
@@ -285,18 +255,11 @@ impl ApacheWorker {
 
     /// Boots one worker from an explicit image and a full [`BootSpec`],
     /// bypassing the checkpoint cache (the cache's own fill path, and
-    /// the differential baseline of the equivalence tests). Named like
-    /// every other driver's image-spec constructor; `from_image_spec`
-    /// remains as its historical alias.
+    /// the differential baseline of the equivalence tests).
     pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec) -> ApacheWorker {
         let mut proc = Process::boot_spec(image, spec);
         init_worker(&mut proc);
         ApacheWorker { proc }
-    }
-
-    /// Historical alias of [`ApacheWorker::boot_image_spec`].
-    pub fn from_image_spec(image: &ProgramImage, spec: &BootSpec) -> ApacheWorker {
-        ApacheWorker::boot_image_spec(image, spec)
     }
 
     /// Freezes this worker's state.
@@ -359,8 +322,7 @@ pub const RESTART_COST_CYCLES: u64 = 220_000;
 
 /// The regenerating process pool (the paper's Apache architecture).
 pub struct ApachePool {
-    mode: Mode,
-    table: TableKind,
+    spec: BootSpec,
     workers: Vec<ApacheWorker>,
     next: usize,
     /// Total virtual cycles spent, including restart overhead.
@@ -372,20 +334,14 @@ pub struct ApachePool {
 }
 
 impl ApachePool {
-    /// Creates a pool with `n` children sharing the interned image.
+    /// Creates a pool of `n` children under `mode`. Children boot (and
+    /// later respawn) from the interned boot checkpoint of one
+    /// [`BootSpec`], so pool regeneration never replays worker init.
     pub fn new(mode: Mode, n: usize) -> ApachePool {
-        ApachePool::new_table(mode, TableKind::default(), n)
-    }
-
-    /// Creates a pool whose children all run the given table backend.
-    /// Children boot (and later respawn) from the interned boot
-    /// checkpoint, so pool regeneration never replays worker init.
-    pub fn new_table(mode: Mode, table: TableKind, n: usize) -> ApachePool {
-        let spec = BootSpec::new(ServerKind::Apache, mode).with_table(table);
+        let spec = BootSpec::new(ServerKind::Apache, mode);
         let workers = (0..n).map(|_| ApacheWorker::boot_spec(&spec)).collect();
         ApachePool {
-            mode,
-            table,
+            spec,
             workers,
             next: 0,
             total_cycles: 0,
@@ -409,9 +365,7 @@ impl ApachePool {
             Outcome::Crashed(_) => {
                 self.child_deaths += 1;
                 self.total_cycles += RESTART_COST_CYCLES;
-                self.workers[idx] = ApacheWorker::boot_spec(
-                    &BootSpec::new(ServerKind::Apache, self.mode).with_table(self.table),
-                );
+                self.workers[idx] = ApacheWorker::boot_spec(&self.spec);
             }
         }
         r.outcome
@@ -425,7 +379,7 @@ mod tests {
     #[test]
     fn serves_pages_in_every_mode() {
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut w = ApacheWorker::boot(mode);
+            let mut w = ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode));
             let r = w.get(b"/index.html");
             assert_eq!(r.outcome.ret(), Some(200), "mode {mode:?}");
             let out = String::from_utf8_lossy(r.outcome.output()).to_string();
@@ -439,7 +393,7 @@ mod tests {
     #[test]
     fn rewrite_works_for_legitimate_urls() {
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut w = ApacheWorker::boot(mode);
+            let mut w = ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode));
             // "/rw/index.html" rewrites to "/index.html".
             let r = w.get(b"/rw/index.html");
             assert_eq!(r.outcome.ret(), Some(200), "mode {mode:?}");
@@ -450,12 +404,12 @@ mod tests {
     fn ten_captures_fit_eleven_do_not() {
         // Exactly ten segments: still in bounds everywhere.
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut w = ApacheWorker::boot(mode);
+            let mut w = ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode));
             let r = w.get(&rewrite_url(10));
             assert!(r.outcome.survived(), "10 segments must be safe in {mode:?}");
         }
         // Eleven segments: the Bounds Check child dies.
-        let mut w = ApacheWorker::boot(Mode::BoundsCheck);
+        let mut w = ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::BoundsCheck));
         let r = w.get(&rewrite_url(11));
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("11 captures must overflow, got {:?}", r.outcome);
@@ -465,7 +419,7 @@ mod tests {
 
     #[test]
     fn attack_kills_standard_child_with_stack_smash() {
-        let mut w = ApacheWorker::boot(Mode::Standard);
+        let mut w = ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::Standard));
         let r = w.get(&attack_url());
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("Standard child must die, got {:?}", r.outcome);
@@ -475,7 +429,8 @@ mod tests {
 
     #[test]
     fn fo_processes_attack_url_correctly() {
-        let mut fo = ApacheWorker::boot(Mode::FailureOblivious);
+        let mut fo =
+            ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::FailureOblivious));
         let r = fo.get(&attack_url());
         // The rewrite completes using the first ten pairs; "$0" = "s0",
         // so the URL rewrites to "/s0", which exists → 200.
@@ -489,7 +444,8 @@ mod tests {
     fn fo_rewrite_output_identical_to_safe_case() {
         // The paper: "Failure Oblivious computing eliminates the memory
         // error without affecting the results of the computation at all."
-        let mut fo = ApacheWorker::boot(Mode::FailureOblivious);
+        let mut fo =
+            ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::FailureOblivious));
         let ok = fo.get(&rewrite_url(10));
         let attacked = fo.get(&attack_url());
         assert_eq!(ok.outcome.ret(), attacked.outcome.ret());
@@ -531,8 +487,9 @@ mod tests {
     #[test]
     fn large_file_slowdown_is_tiny() {
         // Figure 3: the large transfer is I/O-bound; FO ≈ 1.0×.
-        let mut std = ApacheWorker::boot(Mode::Standard);
-        let mut fo = ApacheWorker::boot(Mode::FailureOblivious);
+        let mut std = ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::Standard));
+        let mut fo =
+            ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::FailureOblivious));
         let s = std.get(b"/big.bin").cycles as f64;
         let f = fo.get(b"/big.bin").cycles as f64;
         let slow = f / s;

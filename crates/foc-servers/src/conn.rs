@@ -33,7 +33,6 @@
 //! listener past its backlog, the excess refused).
 
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 use netshim::{ConnectError, Fd, Interest, NetStack, ReadOutcome, WriteOutcome};
 
@@ -42,7 +41,11 @@ use crate::image::ServerKind;
 use crate::latency::LatencyHist;
 use crate::{Measured, Outcome};
 
-/// Environment variable selecting the farm's request edge.
+/// Environment variable naming a request edge (`in-process`,
+/// `socket`, `socket-slow-loris`, `socket-disconnect` or `socket-flood`;
+/// unset means [`Edge::default`]). No library code reads it: the bench
+/// binaries that drive farms or sweeps parse it once in `main` through
+/// [`crate::env_axis`], and `loadbench` refuses to run while it is set.
 pub const EDGE_ENV: &str = "FOC_EDGE";
 
 /// How requests reach a farm server.
@@ -68,24 +71,6 @@ impl Edge {
                 Scenario::Disconnect { .. } => "socket-disconnect",
             },
         }
-    }
-
-    /// The edge selected by the [`EDGE_ENV`] environment variable, or
-    /// the default. Strict like `TableKind::from_env` and
-    /// `LookupLayer::from_env`: an unknown value exits with a one-line
-    /// diagnostic rather than silently measuring a different transport
-    /// than the operator asked for. Read once per process; callers who
-    /// want an error value parse through `FromStr` instead.
-    pub fn from_env() -> Edge {
-        static EDGE: OnceLock<Edge> = OnceLock::new();
-        EDGE.get_or_init(|| match std::env::var(EDGE_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{EDGE_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => Edge::InProcess,
-        })
-        .clone()
     }
 }
 

@@ -38,6 +38,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use foc_compiler::ExecTier;
 use foc_memory::{LookupLayer, Mode, TableKind, ValueSequence};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -53,7 +54,9 @@ use crate::{apache, mc, mutt, pine, sendmail, supervisor, workload, BootSpec, Me
 /// process (shared with the Apache pool's accounting).
 pub const RESTART_COST_CYCLES: u64 = apache::RESTART_COST_CYCLES;
 
-/// Farm shape and workload parameters.
+/// Farm shape, workload and configuration: everything a farm run
+/// depends on. [`run_farm`] is a pure function of this value (plus host
+/// timing in `host_wall_ms`); nothing is read from the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FarmConfig {
     /// Which server to run.
@@ -71,6 +74,11 @@ pub struct FarmConfig {
     /// tests assert byte-identical transcripts), so it too is excluded
     /// from [`FarmReport`] equality.
     pub lookup: LookupLayer,
+    /// Execution tier every process in the farm runs. Like `lookup`, a
+    /// pure performance axis (the tier-equivalence batteries assert
+    /// byte-identical transcripts), so it is excluded from
+    /// [`FarmReport`] equality.
+    pub tier: ExecTier,
     /// Manufactured-value strategy for every process in the farm.
     /// Unlike `table`, this *does* change the measured data (different
     /// manufactured reads steer different guest paths), so it is part
@@ -110,13 +118,17 @@ pub struct FarmConfig {
 impl FarmConfig {
     /// A farm of `kind` under `mode` with the default shape: 4 servers,
     /// 4 threads, 100 requests per server, 1-in-8 attacks, and the
-    /// shared supervision budget.
+    /// shared supervision budget. Every configuration axis takes its
+    /// `#[default]` variant (native tier, paged lookup, splay table,
+    /// in-process edge), the same as [`BootSpec::new`]; the environment
+    /// is never read.
     pub fn new(kind: ServerKind, mode: Mode) -> FarmConfig {
         FarmConfig {
             kind,
             mode,
             table: TableKind::default(),
-            lookup: LookupLayer::from_env(),
+            lookup: LookupLayer::default(),
+            tier: ExecTier::default(),
             sequence: ValueSequence::default(),
             fuel: None,
             servers: 4,
@@ -126,7 +138,7 @@ impl FarmConfig {
             attack_ratio: (1, 8),
             restart_budget: supervisor::RESTART_BUDGET,
             slice_requests: 16,
-            edge: Edge::from_env(),
+            edge: Edge::default(),
         }
     }
 
@@ -154,6 +166,12 @@ impl FarmConfig {
         self
     }
 
+    /// Same farm on a different execution tier.
+    pub fn with_tier(mut self, tier: ExecTier) -> FarmConfig {
+        self.tier = tier;
+        self
+    }
+
     /// Same farm with a different manufactured-value strategy.
     pub fn with_sequence(mut self, sequence: ValueSequence) -> FarmConfig {
         self.sequence = sequence;
@@ -171,6 +189,7 @@ impl FarmConfig {
         BootSpec::new(self.kind, self.mode)
             .with_table(self.table)
             .with_lookup(self.lookup)
+            .with_tier(self.tier)
             .with_sequence(self.sequence)
             .with_fuel(self.fuel.unwrap_or_else(|| self.kind.fuel()))
     }
@@ -314,13 +333,15 @@ impl PartialEq for FarmReport {
     fn eq(&self, other: &FarmReport) -> bool {
         let a = &self.config;
         let b = &other.config;
-        // Thread count, slice grain, table backend, lookup layer, and
-        // the request edge are excluded: they shape host wall time
-        // only, never the measured data — that is the determinism
-        // contract (the backend half is asserted by the cross-backend
-        // transcript-equivalence tests, the layer half by the
-        // paged-vs-table battery, the edge half by the socket-vs-
-        // in-process battery in `tests/conn_equiv.rs`).
+        // Thread count, slice grain, table backend, lookup layer,
+        // execution tier, and the request edge are excluded: they shape
+        // host wall time only, never the measured data — that is the
+        // determinism contract (the backend half is asserted by the
+        // cross-backend transcript-equivalence tests, the layer half by
+        // the paged-vs-table battery, the tier half by the tier
+        // batteries and `farm_reports_are_tier_invariant`, the edge
+        // half by the socket-vs-in-process battery in
+        // `tests/conn_equiv.rs`).
         a.kind == b.kind
             && a.mode == b.mode
             && a.sequence == b.sequence
@@ -1229,17 +1250,15 @@ pub fn run_mode_sweep(kind: ServerKind, base: &FarmConfig) -> Vec<FarmReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foc_compiler::ExecTier;
 
     #[test]
     fn shipped_defaults_serve_like_the_historical_configuration() {
-        // The spec every unconfigured boot gets (read here with no
-        // environment at all, so an exported FOC_* variable cannot
-        // change what this checks) must answer a benign and an attack
-        // request exactly as the old baseline + table default did.
+        // The spec every unconfigured boot gets must answer a benign
+        // and an attack request exactly as the old baseline + table
+        // default did.
         for kind in ServerKind::ALL {
             for mode in [Mode::FailureOblivious, Mode::BoundsCheck] {
-                let shipped = BootSpec::from_env_with(kind, mode, |_| None).unwrap();
+                let shipped = BootSpec::new(kind, mode);
                 assert_eq!(
                     (shipped.tier, shipped.lookup),
                     (ExecTier::Native, LookupLayer::Paged)
@@ -1269,6 +1288,26 @@ mod tests {
         c.threads = 2;
         c.requests_per_server = 12;
         c
+    }
+
+    #[test]
+    fn farm_reports_are_tier_invariant() {
+        // The tier is a performance axis: a farm on the baseline
+        // interpreter and one on the shipped native tier must report
+        // the same data, kind by kind, under both recovering modes.
+        for kind in ServerKind::ALL {
+            for mode in [Mode::FailureOblivious, Mode::BoundsCheck] {
+                let native = quick(kind, mode);
+                assert_eq!(native.tier, ExecTier::Native);
+                let baseline = native.clone().with_tier(ExecTier::Baseline);
+                assert_eq!(
+                    run_farm(&baseline),
+                    run_farm(&native),
+                    "{} {mode:?}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

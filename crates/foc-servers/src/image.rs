@@ -5,12 +5,12 @@
 //! boot and every supervisor restart recompiled its source from scratch
 //! (only Apache's regenerating pool reused an image, and even the pool
 //! recompiled once per pool). This module holds one lazily-compiled
-//! [`ProgramImage`] per [`ServerKind`] in a process-wide cache:
-//! [`ServerKind::image`] compiles on first use and afterwards hands out
-//! `Arc` clones, so farm boots, restarts, and pool respawns never invoke
+//! [`ProgramImage`] per [`ServerKind`] and execution tier in a
+//! process-wide cache: [`ServerKind::image_tier`] compiles on first use
+//! and afterwards hands out `Arc` clones, so farm boots, restarts, and pool respawns never invoke
 //! the compiler again. The `boot_cost` bench quantifies the difference.
 //!
-//! [`ServerKind::fresh_image`] bypasses the cache; the image-sharing
+//! [`ServerKind::fresh_image_tier`] bypasses the cache; the image-sharing
 //! property tests use it to prove cached boots behave byte-identically
 //! to from-source boots.
 
@@ -96,51 +96,30 @@ impl ServerKind {
         }
     }
 
-    /// The interned compiled image on the session-default execution
-    /// tier (`FOC_EXEC_TIER`): compiled at most once per process, then
-    /// shared by every machine of this kind. Concurrent first callers
-    /// race benignly — `OnceLock` publishes exactly one image, so all
-    /// threads observe the same [`foc_compiler::ProgramId`].
+    /// The interned compiled image on execution tier `tier`: compiled at
+    /// most once per process (one cache slot per `(kind, tier)` pair),
+    /// then shared by every machine of this kind. Concurrent first
+    /// callers race benignly — `OnceLock` publishes exactly one image,
+    /// so all threads observe the same [`foc_compiler::ProgramId`].
     ///
     /// # Panics
     ///
     /// Panics when the server source fails to compile — the sources are
     /// fixed constants, so that is a bug in this crate, not input error.
-    pub fn image(self) -> ProgramImage {
-        self.image_tier(ExecTier::from_env())
-    }
-
-    /// The interned compiled image for an explicit execution tier (one
-    /// cache slot per `(kind, tier)` pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server source fails to compile, as
-    /// [`ServerKind::image`] does.
     pub fn image_tier(self, tier: ExecTier) -> ProgramImage {
         IMAGES[self.index() * TIERS + tier.index()]
             .get_or_init(|| self.fresh_image_tier(tier))
             .clone()
     }
 
-    /// Compiles a fresh, uncached image from source on the
-    /// session-default tier (cold-boot path; tests and the `boot_cost`
-    /// bench compare it against the cache).
+    /// Compiles a fresh, uncached image on execution tier `tier`
+    /// (cold-boot path; tests and the `boot_cost` bench compare it
+    /// against the cache).
     ///
     /// # Panics
     ///
     /// Panics when the server source fails to compile, as
-    /// [`ServerKind::image`] does.
-    pub fn fresh_image(self) -> ProgramImage {
-        self.fresh_image_tier(ExecTier::from_env())
-    }
-
-    /// Compiles a fresh, uncached image for an explicit execution tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the server source fails to compile, as
-    /// [`ServerKind::image`] does.
+    /// [`ServerKind::image_tier`] does.
     pub fn fresh_image_tier(self, tier: ExecTier) -> ProgramImage {
         match foc_compiler::compile_image_tier(self.source(), tier) {
             Ok(image) => image,
@@ -284,7 +263,7 @@ pub fn checkpoint_cache_len() -> usize {
 /// The interned standard-boot checkpoint for `(kind, spec)`: performed
 /// at most once per residency, then restored by every farm boot, pool
 /// respawn, and supervised restart of that configuration. Sits
-/// directly above [`ServerKind::image`] in the boot stack:
+/// directly above [`ServerKind::image_tier`] in the boot stack:
 /// compile → image → **checkpoint** → machine.
 pub fn boot_checkpoint(kind: ServerKind, spec: &BootSpec) -> Arc<ServerCheckpoint> {
     let key = (kind, *spec);
@@ -306,7 +285,7 @@ fn standard_boot(kind: ServerKind, spec: &BootSpec) -> ServerCheckpoint {
     let image = kind.image_tier(spec.tier);
     match kind {
         ServerKind::Apache => ServerCheckpoint::Apache(
-            apache::ApacheWorker::from_image_spec(&image, spec).checkpoint(),
+            apache::ApacheWorker::boot_image_spec(&image, spec).checkpoint(),
         ),
         ServerKind::Sendmail => ServerCheckpoint::Sendmail(
             sendmail::Sendmail::boot_image_spec(&image, spec).checkpoint(),
@@ -330,8 +309,8 @@ mod tests {
     #[test]
     fn cache_hands_out_one_shared_image_per_kind() {
         for kind in ServerKind::ALL {
-            let a = kind.image();
-            let b = kind.image();
+            let a = kind.image_tier(ExecTier::default());
+            let b = kind.image_tier(ExecTier::default());
             assert_eq!(a.id(), b.id(), "{}", kind.name());
             assert!(
                 std::ptr::eq(a.program(), b.program()),
@@ -345,8 +324,8 @@ mod tests {
     fn cached_and_fresh_images_have_equal_ids() {
         for kind in ServerKind::ALL {
             assert_eq!(
-                kind.image().id(),
-                kind.fresh_image().id(),
+                kind.image_tier(ExecTier::default()).id(),
+                kind.fresh_image_tier(ExecTier::default()).id(),
                 "{}: cache must serve the same content as a cold compile",
                 kind.name()
             );
@@ -355,7 +334,10 @@ mod tests {
 
     #[test]
     fn the_five_images_are_distinct_programs() {
-        let ids: Vec<_> = ServerKind::ALL.iter().map(|k| k.image().id()).collect();
+        let ids: Vec<_> = ServerKind::ALL
+            .iter()
+            .map(|k| k.image_tier(ExecTier::default()).id())
+            .collect();
         for i in 0..ids.len() {
             for j in i + 1..ids.len() {
                 assert_ne!(ids[i], ids[j], "two servers share a ProgramId");

@@ -120,10 +120,9 @@ impl GuestAddr {
 }
 
 /// Everything that decides how one guest server process is built: the
-/// four axes of the mode search-space sweep in one place. `boot_table`
-/// and friends remain as conveniences over the two-axis subset; the
-/// sweep constructs full specs and hands them to the drivers'
-/// `boot_spec` constructors. `Hash` because the spec is half of the
+/// axes of the mode search-space sweep in one place. Every driver boots
+/// through a `boot_spec` (cached) or `boot_image_spec` (explicit image)
+/// constructor taking one. `Hash` because the spec is half of the
 /// boot-checkpoint cache key (see [`image::boot_checkpoint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BootSpec {
@@ -147,34 +146,30 @@ pub struct BootSpec {
 }
 
 impl BootSpec {
-    /// A spec for `kind` under `mode` with the remaining axes at their
-    /// session defaults: the paper's cycling sequence, the kind's
-    /// standard fuel budget, and the three environment axes — table
-    /// backend from `FOC_TABLE`, execution tier from `FOC_EXEC_TIER`,
-    /// lookup layer from `FOC_LOOKUP`. Each unset axis takes its type's
-    /// `#[default]` variant: splay table, native tier, paged lookup
-    /// (`FOC_EXEC_TIER=baseline FOC_LOOKUP=table` runs the historical
-    /// interpreter configuration).
-    /// Unknown env values exit the process with a one-line diagnostic;
-    /// use [`BootSpec::from_env`] to get the error as a value instead.
+    /// A spec for `kind` under `mode` with every other axis at its
+    /// default: the paper's cycling sequence, the kind's standard fuel
+    /// budget, and each type's `#[default]` variant — splay table,
+    /// native tier, paged lookup. A pure function of its arguments: it
+    /// never reads the environment. Bench binaries that let the
+    /// operator pick the axes call [`BootSpec::from_env`] once in
+    /// `main` instead.
     pub fn new(kind: ServerKind, mode: Mode) -> BootSpec {
         BootSpec {
             mode,
-            table: TableKind::from_env(),
+            table: TableKind::default(),
             sequence: ValueSequence::default(),
             fuel: kind.fuel(),
-            tier: ExecTier::from_env(),
-            lookup: LookupLayer::from_env(),
+            tier: ExecTier::default(),
+            lookup: LookupLayer::default(),
         }
     }
 
-    /// The strict, fallible twin of [`BootSpec::new`]: reads the same
-    /// three environment axes (`FOC_EXEC_TIER`, `FOC_LOOKUP`,
-    /// `FOC_TABLE`) in one place and returns the first configuration
-    /// error as a typed [`EnvError`] instead of exiting — the single
-    /// entry the bench binaries and CI read session config through, so
-    /// an unknown value surfaces as one uniform diagnostic no matter
-    /// which axis it hit.
+    /// [`BootSpec::new`] with the table backend, execution tier and
+    /// lookup layer read from `FOC_TABLE`, `FOC_EXEC_TIER` and
+    /// `FOC_LOOKUP` (each unset variable keeps its default). The first
+    /// unknown value comes back as a typed [`EnvError`]. Only binaries'
+    /// `main` functions call this; library code takes its
+    /// configuration as arguments.
     pub fn from_env(kind: ServerKind, mode: Mode) -> Result<BootSpec, EnvError> {
         BootSpec::from_env_with(kind, mode, |var| std::env::var(var).ok())
     }
@@ -187,24 +182,14 @@ impl BootSpec {
         mode: Mode,
         get: impl Fn(&str) -> Option<String>,
     ) -> Result<BootSpec, EnvError> {
-        fn axis<T>(get: &impl Fn(&str) -> Option<String>, var: &'static str) -> Result<T, EnvError>
-        where
-            T: Default + std::str::FromStr<Err = String>,
-        {
-            match get(var) {
-                Some(value) => value
-                    .parse()
-                    .map_err(|detail| EnvError { var, value, detail }),
-                None => Ok(T::default()),
-            }
-        }
         Ok(BootSpec {
-            mode,
-            table: axis(&get, foc_memory::TABLE_ENV)?,
-            sequence: ValueSequence::default(),
-            fuel: kind.fuel(),
-            tier: axis(&get, foc_compiler::EXEC_TIER_ENV)?,
-            lookup: axis(&get, foc_memory::LOOKUP_ENV)?,
+            table: parse_axis(foc_memory::TABLE_ENV, get(foc_memory::TABLE_ENV))?,
+            tier: parse_axis(
+                foc_compiler::EXEC_TIER_ENV,
+                get(foc_compiler::EXEC_TIER_ENV),
+            )?,
+            lookup: parse_axis(foc_memory::LOOKUP_ENV, get(foc_memory::LOOKUP_ENV))?,
+            ..BootSpec::new(kind, mode)
         })
     }
 
@@ -241,7 +226,7 @@ impl BootSpec {
 
 /// A rejected environment value from [`BootSpec::from_env`]: which
 /// variable, what it held, and the parser's diagnostic (which lists the
-/// accepted spellings). One error type for all three config axes.
+/// accepted spellings). One error type for every configuration axis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
     /// The environment variable that failed to parse.
@@ -259,6 +244,31 @@ impl std::fmt::Display for EnvError {
 }
 
 impl std::error::Error for EnvError {}
+
+/// Reads one configuration axis from environment variable `var`: its
+/// parsed value, or `T`'s default when unset. The one environment
+/// parser of the workspace, shared by [`BootSpec::from_env`] and the
+/// bench binaries (which read `FOC_EDGE` through it); like
+/// [`BootSpec::from_env`], only binaries' `main` functions call it.
+pub fn env_axis<T>(var: &'static str) -> Result<T, EnvError>
+where
+    T: Default + std::str::FromStr<Err = String>,
+{
+    parse_axis(var, std::env::var(var).ok())
+}
+
+/// Parses `value` of variable `var`, defaulting when absent.
+fn parse_axis<T>(var: &'static str, value: Option<String>) -> Result<T, EnvError>
+where
+    T: Default + std::str::FromStr<Err = String>,
+{
+    match value {
+        Some(value) => value
+            .parse()
+            .map_err(|detail| EnvError { var, value, detail }),
+        None => Ok(T::default()),
+    }
+}
 
 /// Cap on pooled scratch buffers per process (a driver never has more
 /// than a handful of request strings in flight at once).
@@ -293,50 +303,18 @@ pub struct Process {
 }
 
 impl Process {
-    /// Legacy convenience over [`Process::boot_spec`] with the session
-    /// defaults on the table/tier/lookup axes; prefer constructing a
-    /// [`BootSpec`] at the call site.
+    /// Boots a shared compiled image from a full [`BootSpec`] — every
+    /// sweep axis (mode, table backend, value sequence, fuel budget,
+    /// execution tier, lookup layer) decided by the caller. This is the
+    /// one construction path: every driver constructor boots through
+    /// it. The farm's hot path too: no compilation, just
+    /// globals/strings allocation — restarts and pool respawns reuse the
+    /// interned image.
     ///
     /// # Panics
     ///
     /// Panics when the image fails to load (global region exhaustion —
     /// a harness bug, since the server images are fixed).
-    pub fn boot(image: &ProgramImage, mode: Mode, fuel: u64) -> Process {
-        Process::boot_table(image, mode, TableKind::from_env(), fuel)
-    }
-
-    /// Legacy convenience over [`Process::boot_spec`] for the
-    /// mode × table subset; prefer constructing a [`BootSpec`] at the
-    /// call site.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image fails to load, as [`Process::boot`].
-    pub fn boot_table(image: &ProgramImage, mode: Mode, table: TableKind, fuel: u64) -> Process {
-        Process::boot_spec(
-            image,
-            &BootSpec {
-                mode,
-                table,
-                sequence: ValueSequence::default(),
-                fuel,
-                tier: ExecTier::from_env(),
-                lookup: LookupLayer::from_env(),
-            },
-        )
-    }
-
-    /// Boots a shared compiled image from a full [`BootSpec`] — every
-    /// sweep axis (mode, table backend, value sequence, fuel budget,
-    /// execution tier, lookup layer) decided by the caller. This is the
-    /// one canonical construction path: every other constructor, here
-    /// and in the five drivers, is a thin forwarder into it. The farm's
-    /// hot path too: no compilation, just globals/strings allocation —
-    /// restarts and pool respawns reuse the interned image.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image fails to load, as [`Process::boot`].
     pub fn boot_spec(image: &ProgramImage, spec: &BootSpec) -> Process {
         let config = MachineConfig {
             mem: foc_memory::MemConfig::with_mode(spec.mode)
@@ -354,22 +332,6 @@ impl Process {
             spec: *spec,
             scratch: Vec::new(),
         }
-    }
-
-    /// Legacy convenience: compiles `source` cold and boots it through
-    /// [`Process::boot`] — the pre-interning path, kept for one-off
-    /// programs and as the differential baseline the image-sharing
-    /// property tests compare against.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the source fails to compile.
-    pub fn boot_source(source: &str, mode: Mode, fuel: u64) -> Process {
-        let image = match foc_compiler::compile_image(source) {
-            Ok(image) => image,
-            Err(e) => panic!("server source failed to build: {e}"),
-        };
-        Process::boot(&image, mode, fuel)
     }
 
     /// Freezes this process's current state (machine plus spec) for
@@ -397,11 +359,6 @@ impl Process {
     /// The policy this process runs under.
     pub fn mode(&self) -> Mode {
         self.spec.mode
-    }
-
-    /// The object-table backend this process runs on.
-    pub fn table(&self) -> TableKind {
-        self.spec.table
     }
 
     /// The full boot spec this process was built from.
@@ -593,11 +550,10 @@ mod tests {
 
     #[test]
     fn process_boot_and_request() {
-        let mut p = Process::boot_source(
-            "int n = 0; int bump() { n++; return n; }",
-            Mode::FailureOblivious,
-            1_000_000,
-        );
+        let image = foc_compiler::compile_image("int n = 0; int bump() { n++; return n; }")
+            .expect("compiles");
+        let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious).with_fuel(1_000_000);
+        let mut p = Process::boot_spec(&image, &spec);
         let r1 = p.request("bump", &[]);
         assert_eq!(r1.outcome.ret(), Some(1));
         assert!(r1.cycles > 0);

@@ -18,7 +18,7 @@
 //!   cycling sequence eventually produces `'/'` and the loop exits.
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -227,42 +227,6 @@ pub fn attack_links() -> Vec<Vec<u8>> {
 }
 
 impl Mc {
-    /// Legacy convenience over [`Mc::boot_spec`] with a default spec
-    /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot(mode: Mode, config: &[u8]) -> Mc {
-        Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), config)
-    }
-
-    /// Legacy convenience over [`Mc::boot_spec`] for the mode × table
-    /// subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_table(mode: Mode, table: TableKind, config: &[u8]) -> Mc {
-        Mc::boot_spec(
-            &BootSpec::new(ServerKind::Mc, mode).with_table(table),
-            config,
-        )
-    }
-
-    /// Legacy convenience over [`Mc::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(image: &ProgramImage, mode: Mode, config: &[u8]) -> Mc {
-        Mc::boot_image_spec(image, &BootSpec::new(ServerKind::Mc, mode), config)
-    }
-
-    /// Legacy convenience over [`Mc::boot_image_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_image_table(
-        image: &ProgramImage,
-        mode: Mode,
-        table: TableKind,
-        config: &[u8],
-    ) -> Mc {
-        Mc::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Mc, mode).with_table(table),
-            config,
-        )
-    }
-
     /// Boots MC from a full [`BootSpec`] (interned image). The clean
     /// standard configuration restores from the per-spec boot
     /// checkpoint; hostile configurations (the §4.5.4 blank line) boot
@@ -444,13 +408,14 @@ fn dead(proc: &Process) -> Measured {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_memory::Mode;
     use foc_memory::ValueSequence;
     use foc_vm::{Machine, MachineConfig};
 
     #[test]
     fn file_operations_work_in_every_mode() {
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut mc = Mc::boot(mode, &clean_config());
+            let mut mc = Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), &clean_config());
             assert!(mc.usable(), "mode {mode:?}");
             mc.create(b"/tmp/a.txt", 8192, false);
             let r = mc.copy(b"/tmp/a.txt", b"/tmp/b.txt");
@@ -467,18 +432,27 @@ mod tests {
     #[test]
     fn blank_config_line_disables_bounds_check_only() {
         // Standard: harmless stray read.
-        let mc = Mc::boot(Mode::Standard, &config_with_blank_line());
+        let mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::Standard),
+            &config_with_blank_line(),
+        );
         assert!(mc.usable(), "Standard must tolerate the blank line");
         // Bounds Check: dies during initialization (§4.5.4) — and restarts
         // die again while the blank line persists in the environment.
-        let mc = Mc::boot(Mode::BoundsCheck, &config_with_blank_line());
+        let mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::BoundsCheck),
+            &config_with_blank_line(),
+        );
         assert!(!mc.usable());
         let Outcome::Crashed(f) = mc.init_outcome() else {
             panic!("expected init death");
         };
         assert!(f.is_memory_error(), "got {f}");
         // Failure-oblivious: logged, ignored, fully usable.
-        let mc = Mc::boot(Mode::FailureOblivious, &config_with_blank_line());
+        let mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::FailureOblivious),
+            &config_with_blank_line(),
+        );
         assert!(mc.usable());
         assert!(mc.process().machine().space().error_log().total() > 0);
     }
@@ -486,7 +460,10 @@ mod tests {
     #[test]
     fn archive_attack_per_mode() {
         // Standard: the scan/writes escape the frame → segfault-like death.
-        let mut mc = Mc::boot(Mode::Standard, &clean_config());
+        let mut mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::Standard),
+            &clean_config(),
+        );
         let r = mc.open_archive(&attack_links());
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("Standard MC must crash, got {:?}", r.outcome);
@@ -494,7 +471,10 @@ mod tests {
         assert!(f.is_segfault_like(), "got {f}");
 
         // Bounds Check: memory error ends the process.
-        let mut mc = Mc::boot(Mode::BoundsCheck, &clean_config());
+        let mut mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::BoundsCheck),
+            &clean_config(),
+        );
         let r = mc.open_archive(&attack_links());
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("Bounds-Check MC must terminate, got {:?}", r.outcome);
@@ -502,7 +482,10 @@ mod tests {
         assert!(f.is_memory_error(), "got {f}");
 
         // Failure-oblivious: every link shows as dangling; MC continues.
-        let mut mc = Mc::boot(Mode::FailureOblivious, &clean_config());
+        let mut mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::FailureOblivious),
+            &clean_config(),
+        );
         let r = mc.open_archive(&attack_links());
         assert_eq!(
             r.outcome.ret(),
@@ -517,7 +500,10 @@ mod tests {
 
     #[test]
     fn fo_survives_repeated_archive_openings() {
-        let mut mc = Mc::boot(Mode::FailureOblivious, &clean_config());
+        let mut mc = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::FailureOblivious),
+            &clean_config(),
+        );
         for round in 0..5 {
             let r = mc.open_archive(&attack_links());
             assert!(r.outcome.survived(), "round {round}");
@@ -560,8 +546,14 @@ mod tests {
     #[test]
     fn copy_slowdown_is_modest() {
         // Figure 5: Copy ≈ 1.4×, dominated by I/O with per-word copying.
-        let mut std = Mc::boot(Mode::Standard, &clean_config());
-        let mut fo = Mc::boot(Mode::FailureOblivious, &clean_config());
+        let mut std = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::Standard),
+            &clean_config(),
+        );
+        let mut fo = Mc::boot_spec(
+            &BootSpec::new(ServerKind::Mc, Mode::FailureOblivious),
+            &clean_config(),
+        );
         std.create(b"/tmp/big", 485_000, false);
         fo.create(b"/tmp/big", 485_000, false);
         let c_std = std.copy(b"/tmp/big", b"/tmp/big2").cycles as f64;

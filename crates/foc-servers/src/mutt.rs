@@ -23,7 +23,7 @@
 //!   user continues working with legitimate folders.
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -256,42 +256,6 @@ pub fn attack_folder_name(pairs: usize) -> Vec<u8> {
 }
 
 impl Mutt {
-    /// Legacy convenience over [`Mutt::boot_spec`] with a default spec
-    /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot(mode: Mode, seed_messages: usize) -> Mutt {
-        Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), seed_messages)
-    }
-
-    /// Legacy convenience over [`Mutt::boot_spec`] for the mode × table
-    /// subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_table(mode: Mode, table: TableKind, seed_messages: usize) -> Mutt {
-        Mutt::boot_spec(
-            &BootSpec::new(ServerKind::Mutt, mode).with_table(table),
-            seed_messages,
-        )
-    }
-
-    /// Legacy convenience over [`Mutt::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(image: &ProgramImage, mode: Mode, seed_messages: usize) -> Mutt {
-        Mutt::boot_image_spec(image, &BootSpec::new(ServerKind::Mutt, mode), seed_messages)
-    }
-
-    /// Legacy convenience over [`Mutt::boot_image_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_image_table(
-        image: &ProgramImage,
-        mode: Mode,
-        table: TableKind,
-        seed_messages: usize,
-    ) -> Mutt {
-        Mutt::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Mutt, mode).with_table(table),
-            seed_messages,
-        )
-    }
-
     /// Boots Mutt from a full [`BootSpec`] (interned image). The
     /// standard seed count restores from the per-spec boot checkpoint.
     pub fn boot_spec(spec: &BootSpec, seed_messages: usize) -> Mutt {
@@ -422,11 +386,12 @@ fn dead(proc: &Process) -> Measured {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_memory::Mode;
 
     #[test]
     fn legitimate_folders_work_in_every_mode() {
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut mutt = Mutt::boot(mode, 2);
+            let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 2);
             let r = mutt.open_folder(b"INBOX");
             assert_eq!(r.outcome.ret(), Some(0), "mode {mode:?}");
             let r = mutt.read_message(0);
@@ -440,7 +405,7 @@ mod tests {
 
     #[test]
     fn conversion_is_correct_for_plain_ascii() {
-        let mut mutt = Mutt::boot(Mode::BoundsCheck, 0);
+        let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::BoundsCheck), 0);
         // ASCII-only names convert to themselves: selecting "work" works.
         assert_eq!(mutt.open_folder(b"work").outcome.ret(), Some(0));
     }
@@ -449,7 +414,7 @@ mod tests {
     fn malformed_utf8_is_an_anticipated_error() {
         // 0xC0 is in the `goto bail` range of Figure 1.
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut mutt = Mutt::boot(mode, 0);
+            let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 0);
             let r = mutt.open_folder(&[0xC0, 0x80]);
             assert_eq!(r.outcome.ret(), Some(-2), "mode {mode:?}");
         }
@@ -457,7 +422,7 @@ mod tests {
 
     #[test]
     fn standard_version_dies_of_heap_corruption() {
-        let mut mutt = Mutt::boot(Mode::Standard, 2);
+        let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::Standard), 2);
         let r = mutt.open_folder(&attack_folder_name(40));
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("Standard Mutt must crash, got {:?}", r.outcome);
@@ -469,7 +434,7 @@ mod tests {
 
     #[test]
     fn bounds_check_version_terminates_with_memory_error() {
-        let mut mutt = Mutt::boot(Mode::BoundsCheck, 2);
+        let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::BoundsCheck), 2);
         let r = mutt.open_folder(&attack_folder_name(40));
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("Bounds-Check Mutt must terminate, got {:?}", r.outcome);
@@ -479,7 +444,7 @@ mod tests {
 
     #[test]
     fn failure_oblivious_version_continues_serving() {
-        let mut mutt = Mutt::boot(Mode::FailureOblivious, 3);
+        let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 3);
         // The attack folder is rejected as "does not exist" — the paper's
         // conversion of an unanticipated attack into an anticipated error.
         let r = mutt.open_folder(&attack_folder_name(40));
@@ -495,7 +460,7 @@ mod tests {
 
     #[test]
     fn failure_oblivious_survives_repeated_attacks() {
-        let mut mutt = Mutt::boot(Mode::FailureOblivious, 2);
+        let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 2);
         for pairs in [10, 20, 40, 80, 120] {
             let r = mutt.open_folder(&attack_folder_name(pairs));
             assert_eq!(r.outcome.ret(), Some(-1), "attack {pairs} must be rejected");
@@ -507,7 +472,7 @@ mod tests {
     #[test]
     fn boundless_and_redirect_variants_also_survive() {
         for mode in [Mode::Boundless, Mode::Redirect] {
-            let mut mutt = Mutt::boot(mode, 1);
+            let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 1);
             let r = mutt.open_folder(&attack_folder_name(40));
             assert!(r.outcome.survived(), "mode {mode:?}: {:?}", r.outcome);
             assert_eq!(
@@ -523,8 +488,8 @@ mod tests {
     fn fo_read_is_slower_than_standard_but_move_is_closer() {
         // The Figure 6 shape: Read is parse-bound (large slowdown), Move is
         // I/O-bound (small slowdown).
-        let mut std = Mutt::boot(Mode::Standard, 2);
-        let mut fo = Mutt::boot(Mode::FailureOblivious, 2);
+        let mut std = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::Standard), 2);
+        let mut fo = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 2);
         std.open_folder(b"INBOX");
         fo.open_folder(b"INBOX");
         let read_std = std.read_message(0).cycles as f64;

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -244,50 +244,6 @@ pub fn attack_from(quoted: usize) -> Vec<u8> {
 }
 
 impl Pine {
-    /// Legacy convenience over [`Pine::boot_spec`] with a default spec
-    /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot(mode: Mode, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Pine {
-        Pine::boot_spec(&BootSpec::new(ServerKind::Pine, mode), mailbox)
-    }
-
-    /// Legacy convenience over [`Pine::boot_spec`] for the mode × table
-    /// subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_table(
-        mode: Mode,
-        table: TableKind,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
-        Pine::boot_spec(
-            &BootSpec::new(ServerKind::Pine, mode).with_table(table),
-            mailbox,
-        )
-    }
-
-    /// Legacy convenience over [`Pine::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(
-        image: &ProgramImage,
-        mode: Mode,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
-        Pine::boot_image_spec(image, &BootSpec::new(ServerKind::Pine, mode), mailbox)
-    }
-
-    /// Legacy convenience over [`Pine::boot_image_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_image_table(
-        image: &ProgramImage,
-        mode: Mode,
-        table: TableKind,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
-        Pine::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Pine, mode).with_table(table),
-            mailbox,
-        )
-    }
-
     /// Boots Pine from a full [`BootSpec`] (interned image). The
     /// standard seed mailbox restores from the per-spec boot-checkpoint
     /// cache instead of replaying initialization.
@@ -522,11 +478,15 @@ fn dead(proc: &Process) -> Measured {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_memory::Mode;
 
     #[test]
     fn clean_mailbox_works_everywhere() {
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
-            let mut pine = Pine::boot(mode, Pine::standard_mailbox(6));
+            let mut pine = Pine::boot_spec(
+                &BootSpec::new(ServerKind::Pine, mode),
+                Pine::standard_mailbox(6),
+            );
             assert!(pine.usable(), "mode {mode:?}");
             assert_eq!(pine.read(2).outcome.ret(), Some(0), "mode {mode:?}");
             assert_eq!(pine.compose().outcome.ret(), Some(0), "mode {mode:?}");
@@ -538,7 +498,7 @@ mod tests {
     fn poisoned_mailbox_kills_standard_at_init() {
         let mut mailbox = Pine::standard_mailbox(4);
         mailbox.insert(2, (attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
-        let pine = Pine::boot(Mode::Standard, mailbox);
+        let pine = Pine::boot_spec(&BootSpec::new(ServerKind::Pine, Mode::Standard), mailbox);
         assert!(!pine.usable(), "Standard Pine must die loading the mailbox");
         let Outcome::Crashed(f) = pine.init_outcome() else {
             panic!("expected crash");
@@ -550,7 +510,8 @@ mod tests {
     fn poisoned_mailbox_kills_bounds_check_at_init_even_after_restart() {
         let mut mailbox = Pine::standard_mailbox(4);
         mailbox.insert(2, (attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
-        let mut pine = Pine::boot(Mode::BoundsCheck, mailbox);
+        let mut pine =
+            Pine::boot_spec(&BootSpec::new(ServerKind::Pine, Mode::BoundsCheck), mailbox);
         assert!(!pine.usable());
         let Outcome::Crashed(f) = pine.init_outcome() else {
             panic!("expected termination");
@@ -569,7 +530,10 @@ mod tests {
             bad_idx,
             (attack_from(40), b"pwn".to_vec(), b"body".to_vec()),
         );
-        let mut pine = Pine::boot(Mode::FailureOblivious, mailbox);
+        let mut pine = Pine::boot_spec(
+            &BootSpec::new(ServerKind::Pine, Mode::FailureOblivious),
+            mailbox,
+        );
         assert!(pine.usable(), "FO Pine must survive the poisoned mailbox");
         assert!(
             pine.process().machine().space().error_log().total_writes() > 0,
@@ -595,11 +559,17 @@ mod tests {
     #[test]
     fn attack_mail_arriving_live_is_survived_only_by_fo() {
         // Standard dies when the poisoned message's index entry renders.
-        let mut pine = Pine::boot(Mode::Standard, Pine::standard_mailbox(3));
+        let mut pine = Pine::boot_spec(
+            &BootSpec::new(ServerKind::Pine, Mode::Standard),
+            Pine::standard_mailbox(3),
+        );
         let r = pine.deliver(&attack_from(40), b"pwn", b"x");
         assert!(!r.outcome.survived());
         // FO keeps going and subsequent mail still arrives.
-        let mut pine = Pine::boot(Mode::FailureOblivious, Pine::standard_mailbox(3));
+        let mut pine = Pine::boot_spec(
+            &BootSpec::new(ServerKind::Pine, Mode::FailureOblivious),
+            Pine::standard_mailbox(3),
+        );
         let r = pine.deliver(&attack_from(40), b"pwn", b"x");
         assert!(r.outcome.survived());
         let r = pine.deliver(&workload::from_field(9), b"later", b"fine");
@@ -609,8 +579,14 @@ mod tests {
 
     #[test]
     fn read_and_compose_are_parse_bound_move_is_io_bound() {
-        let mut std = Pine::boot(Mode::Standard, Pine::standard_mailbox(8));
-        let mut fo = Pine::boot(Mode::FailureOblivious, Pine::standard_mailbox(8));
+        let mut std = Pine::boot_spec(
+            &BootSpec::new(ServerKind::Pine, Mode::Standard),
+            Pine::standard_mailbox(8),
+        );
+        let mut fo = Pine::boot_spec(
+            &BootSpec::new(ServerKind::Pine, Mode::FailureOblivious),
+            Pine::standard_mailbox(8),
+        );
         let read = fo.read(3).cycles as f64 / std.read(3).cycles as f64;
         let compose = fo.compose().cycles as f64 / std.compose().cycles as f64;
         let mv = fo.move_message(2).cycles as f64 / std.move_message(2).cycles as f64;

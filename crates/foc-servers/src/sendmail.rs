@@ -25,7 +25,7 @@
 //!   of memory errors during normal execution" of §4.4.4.
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -249,36 +249,6 @@ pub fn attack_address(pairs: usize) -> Vec<u8> {
 }
 
 impl Sendmail {
-    /// Legacy convenience over [`Sendmail::boot_spec`] with a default
-    /// spec for `mode`; prefer constructing a [`BootSpec`] at the call
-    /// site.
-    pub fn boot(mode: Mode) -> Sendmail {
-        Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode))
-    }
-
-    /// Legacy convenience over [`Sendmail::boot_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call
-    /// site.
-    pub fn boot_table(mode: Mode, table: TableKind) -> Sendmail {
-        Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode).with_table(table))
-    }
-
-    /// Legacy convenience over [`Sendmail::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(image: &ProgramImage, mode: Mode) -> Sendmail {
-        Sendmail::boot_image_spec(image, &BootSpec::new(ServerKind::Sendmail, mode))
-    }
-
-    /// Legacy convenience over [`Sendmail::boot_image_spec`] for the
-    /// mode × table subset; prefer constructing a [`BootSpec`] at the
-    /// call site.
-    pub fn boot_image_table(image: &ProgramImage, mode: Mode, table: TableKind) -> Sendmail {
-        Sendmail::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Sendmail, mode).with_table(table),
-        )
-    }
-
     /// Boots the daemon from a full [`BootSpec`]: restored from the
     /// per-spec boot checkpoint, so supervised restarts of the daemon
     /// never re-interpret the wake-up path.
@@ -428,11 +398,12 @@ fn dead(proc: &Process) -> Measured {
 mod tests {
     use super::*;
     use foc_memory::MemFault;
+    use foc_memory::Mode;
 
     #[test]
     fn legitimate_mail_flows_in_standard_and_fo() {
         for mode in [Mode::Standard, Mode::FailureOblivious] {
-            let mut sm = Sendmail::boot(mode);
+            let mut sm = Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode));
             assert!(sm.usable(), "mode {mode:?}");
             let r = sm.receive(
                 &workload::sendmail_address(1),
@@ -450,7 +421,7 @@ mod tests {
     fn bounds_check_daemon_is_unusable() {
         // §4.4.4: the wake-up error "apparently completely disables the
         // Bounds Check version" — it dies during initialization.
-        let sm = Sendmail::boot(Mode::BoundsCheck);
+        let sm = Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::BoundsCheck));
         assert!(!sm.usable());
         let Outcome::Crashed(f) = sm.init_outcome() else {
             panic!("expected init crash");
@@ -460,7 +431,8 @@ mod tests {
 
     #[test]
     fn fo_daemon_logs_steady_stream_of_wakeup_errors() {
-        let mut sm = Sendmail::boot(Mode::FailureOblivious);
+        let mut sm =
+            Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
         assert!(sm.usable());
         let before = sm.process().machine().space().error_log().total();
         for _ in 0..10 {
@@ -476,7 +448,7 @@ mod tests {
 
     #[test]
     fn attack_smashes_standard_stack_with_attacker_bytes() {
-        let mut sm = Sendmail::boot(Mode::Standard);
+        let mut sm = Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::Standard));
         // Enough pairs to carry the unchecked stores across the scratch
         // locals above the buffer and into the frame guard.
         let r = sm.mail_from(&attack_address(400));
@@ -497,7 +469,10 @@ mod tests {
     fn attack_terminates_bounds_check_worker() {
         // Boot dies at wake-up already; to exercise the prescan path give
         // the worker a life without wake-up by testing the parse directly.
-        let mut proc = Process::boot_source(SENDMAIL_SOURCE, Mode::BoundsCheck, 80_000_000);
+        let mut proc = Process::boot_spec(
+            &ServerKind::Sendmail.image_tier(crate::ExecTier::default()),
+            &BootSpec::new(ServerKind::Sendmail, Mode::BoundsCheck),
+        );
         let addr = proc.guest_str(&attack_address(120));
         let canon = proc.guest_str(&[0u8; 63]);
         let r = proc.request("parse_address", &[addr.arg(), canon.arg(), 64]);
@@ -509,7 +484,8 @@ mod tests {
 
     #[test]
     fn fo_rejects_attack_as_address_too_long_and_continues() {
-        let mut sm = Sendmail::boot(Mode::FailureOblivious);
+        let mut sm =
+            Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
         let r = sm.mail_from(&attack_address(120));
         // 501: the anticipated "address too long" rejection (§4.4.2).
         assert_eq!(r.outcome.ret(), Some(501));
@@ -526,7 +502,8 @@ mod tests {
 
     #[test]
     fn fo_survives_interleaved_attacks_and_mail() {
-        let mut sm = Sendmail::boot(Mode::FailureOblivious);
+        let mut sm =
+            Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
         let mut delivered = 0;
         for i in 0..30 {
             if i % 3 == 0 {
@@ -549,7 +526,7 @@ mod tests {
     #[test]
     fn malformed_but_short_addresses_are_rejected_cleanly() {
         for mode in [Mode::Standard, Mode::FailureOblivious] {
-            let mut sm = Sendmail::boot(mode);
+            let mut sm = Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode));
             // An over-long ordinary address: rejected by the same check.
             let long: Vec<u8> = std::iter::repeat_n(b'a', 60).collect();
             let r = sm.mail_from(&long);
@@ -559,8 +536,9 @@ mod tests {
 
     #[test]
     fn figure4_shape_slowdown_flat_across_sizes() {
-        let mut std = Sendmail::boot(Mode::Standard);
-        let mut fo = Sendmail::boot(Mode::FailureOblivious);
+        let mut std = Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::Standard));
+        let mut fo =
+            Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
         let small = workload::lorem(4, 1);
         let large = workload::lorem(4096, 2);
         let from = workload::sendmail_address(1);

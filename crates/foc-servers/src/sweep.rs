@@ -32,8 +32,8 @@ use std::hash::Hasher as _;
 // The workspace's one stable content hash (`foc_compiler::Fnv1a`:
 // FNV-1a 64, platform-independent) — reused here so transcript hashes
 // and cell fingerprints rest on the same primitive as `ProgramId`.
-use foc_compiler::Fnv1a;
-use foc_memory::{MemoryErrorRecord, Mode, SpaceStats, TableKind, ValueSequence};
+use foc_compiler::{ExecTier, Fnv1a};
+use foc_memory::{LookupLayer, MemoryErrorRecord, Mode, SpaceStats, TableKind, ValueSequence};
 use foc_vm::VmFault;
 
 use crate::conn::{ConnSession, Edge};
@@ -771,27 +771,17 @@ fn script_requests(kind: ServerKind, input: &str) -> Vec<Request> {
     }
 }
 
-/// Drives one [`INPUT_LIBRARY`] entry under an explicit boot spec and
-/// returns every observable surface of the run. This is the sweep's
-/// differential entry point: callers that need an axis the grid does
-/// not expose (the execution tier, an off-grid fuel budget) build the
-/// [`BootSpec`] themselves instead of going through [`CellSpec`].
-/// Requests travel over the edge the [`EDGE_ENV`][crate::conn::EDGE_ENV]
-/// variable selects, like the farm's.
-pub fn drive_input(input: &SweepInput, spec: &BootSpec) -> Driven {
-    drive_input_via(input, spec, &Edge::from_env())
-}
-
-/// [`drive_input`] with an explicit transport edge: the edge-equivalence
-/// battery (`tests/conn_equiv.rs`) calls this for both edges and asserts
-/// the [`Driven`]s equal — transcripts, violation counts, error logs,
+/// Drives one [`INPUT_LIBRARY`] entry under an explicit boot spec over
+/// an explicit request edge and returns every observable surface of the
+/// run. This is the sweep's differential entry point: callers that need
+/// an axis the grid does not expose (the execution tier, an off-grid
+/// fuel budget) build the [`BootSpec`] themselves instead of going
+/// through [`CellSpec`], and the edge-equivalence battery
+/// (`tests/conn_equiv.rs`) calls it for both edges and asserts the
+/// [`Driven`]s equal — transcripts, violation counts, error logs,
 /// everything a client or operator can see.
-pub fn drive_input_via(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
-    drive_via(input.kind, input.name, spec, edge)
-}
-
-/// Drives one library input under one boot spec over one edge.
-fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Driven {
+pub fn drive_input(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
+    let (kind, input) = (input.kind, input.name);
     let env = script_env(kind, input);
     let mut t = Trace::new();
     let mut process = FarmProcess::boot_env(kind, spec, &env);
@@ -824,11 +814,6 @@ fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Dri
         |p| p.usable(),
         |p| p.restart(kind, spec, &env),
     )
-}
-
-/// Drives one library input under one boot spec.
-fn drive(kind: ServerKind, input: &str, spec: &BootSpec) -> Driven {
-    drive_via(kind, input, spec, &Edge::from_env())
 }
 
 // ---------------------------------------------------------------------
@@ -878,12 +863,21 @@ pub fn reference_cell() -> CellSpec {
 }
 
 /// Computes the per-input reference transcripts by driving the whole
-/// library under [`reference_cell`].
-pub fn reference_transcripts() -> Vec<u64> {
+/// library under [`reference_cell`] on execution tier `tier` and lookup
+/// layer `lookup`, over request edge `edge`. The transcripts are the
+/// same on every tier, layer and edge (the sweep gates assert it); the
+/// arguments pick which machinery computes them.
+pub fn reference_transcripts(tier: ExecTier, lookup: LookupLayer, edge: &Edge) -> Vec<u64> {
     let cell = reference_cell();
     INPUT_LIBRARY
         .iter()
-        .map(|input| drive(input.kind, input.name, &cell.boot_spec(input.kind)).transcript)
+        .map(|input| {
+            let spec = cell
+                .boot_spec(input.kind)
+                .with_tier(tier)
+                .with_lookup(lookup);
+            drive_input(input, &spec, edge).transcript
+        })
         .collect()
 }
 
@@ -909,22 +903,40 @@ fn classify(driven: &Driven, reference: u64) -> OutcomeClass {
     }
 }
 
-/// Runs one input of one cell.
-pub fn run_cell_input(cell: &CellSpec, index: usize, reference: &[u64]) -> SweepRun {
+/// Runs one input of one cell on the given tier, lookup layer and edge.
+pub fn run_cell_input(
+    cell: &CellSpec,
+    index: usize,
+    reference: &[u64],
+    tier: ExecTier,
+    lookup: LookupLayer,
+    edge: &Edge,
+) -> SweepRun {
     let input = &INPUT_LIBRARY[index];
-    let driven = drive(input.kind, input.name, &cell.boot_spec(input.kind));
+    let spec = cell
+        .boot_spec(input.kind)
+        .with_tier(tier)
+        .with_lookup(lookup);
+    let driven = drive_input(input, &spec, edge);
     SweepRun {
         class: classify(&driven, reference[index]),
         transcript: driven.transcript,
     }
 }
 
-/// Runs one whole cell sequentially.
-pub fn run_cell(cell: &CellSpec, reference: &[u64]) -> CellResult {
+/// Runs one whole cell sequentially on the given tier, lookup layer
+/// and edge.
+pub fn run_cell(
+    cell: &CellSpec,
+    reference: &[u64],
+    tier: ExecTier,
+    lookup: LookupLayer,
+    edge: &Edge,
+) -> CellResult {
     CellResult {
         cell: *cell,
         runs: (0..INPUT_LIBRARY.len())
-            .map(|i| run_cell_input(cell, i, reference))
+            .map(|i| run_cell_input(cell, i, reference, tier, lookup, edge))
             .collect(),
     }
 }
@@ -934,12 +946,16 @@ pub fn run_cell(cell: &CellSpec, reference: &[u64]) -> CellResult {
 /// slow cell (one deep in standard-fuel manufactured loops) cannot pin
 /// its worker. Results come back in the order of `cells`; each run is a
 /// pure function of its coordinates, so the output is identical for any
-/// `threads`/`slice_inputs` (the sweep property tests assert this).
+/// `threads`/`slice_inputs` (the sweep property tests assert this) and
+/// any `tier`/`lookup`/`edge` (the CI sweep variants assert that).
 pub fn run_cells(
     cells: &[CellSpec],
     reference: &[u64],
     threads: usize,
     slice_inputs: usize,
+    tier: ExecTier,
+    lookup: LookupLayer,
+    edge: &Edge,
 ) -> Vec<CellResult> {
     if cells.is_empty() {
         return Vec::new();
@@ -965,7 +981,9 @@ pub fn run_cells(
                 break;
             }
             let index = task.runs.len();
-            task.runs.push(run_cell_input(&task.cell, index, reference));
+            task.runs.push(run_cell_input(
+                &task.cell, index, reference, tier, lookup, edge,
+            ));
         }
         if task.runs.len() == INPUT_LIBRARY.len() {
             Slice::Done(
@@ -981,10 +999,26 @@ pub fn run_cells(
     })
 }
 
-/// Runs a whole grid: reference first, then every cell in parallel.
-pub fn run_sweep(grid: &SweepGrid, threads: usize, slice_inputs: usize) -> SweepMatrix {
-    let reference = reference_transcripts();
-    let cells = run_cells(&grid.cells(), &reference, threads, slice_inputs);
+/// Runs a whole grid: reference first, then every cell in parallel, all
+/// on the given tier, lookup layer and edge.
+pub fn run_sweep(
+    grid: &SweepGrid,
+    threads: usize,
+    slice_inputs: usize,
+    tier: ExecTier,
+    lookup: LookupLayer,
+    edge: &Edge,
+) -> SweepMatrix {
+    let reference = reference_transcripts(tier, lookup, edge);
+    let cells = run_cells(
+        &grid.cells(),
+        &reference,
+        threads,
+        slice_inputs,
+        tier,
+        lookup,
+        edge,
+    );
     SweepMatrix {
         grid: grid.clone(),
         reference,
@@ -1053,8 +1087,18 @@ mod tests {
         // (benign, no violations) or manufactured-continue (violations
         // intercepted, transcript preserved) — never divergent, never a
         // crash class: failure-oblivious mode survives the whole library.
-        let reference = reference_transcripts();
-        let result = run_cell(&reference_cell(), &reference);
+        let reference = reference_transcripts(
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
+        let result = run_cell(
+            &reference_cell(),
+            &reference,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         for (input, run) in INPUT_LIBRARY.iter().zip(&result.runs) {
             assert!(
                 matches!(
@@ -1086,14 +1130,24 @@ mod tests {
         // §4.4.4 as a taxonomy statement: every Sendmail input under
         // Bounds Check is restart-exhausted (the daemon dies at init,
         // and so does every restart).
-        let reference = reference_transcripts();
+        let reference = reference_transcripts(
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         let cell = CellSpec {
             mode: Mode::BoundsCheck,
             sequence: ValueSequence::default(),
             fuel: FuelBudget::Ample,
             table: TableKind::Splay,
         };
-        let result = run_cell(&cell, &reference);
+        let result = run_cell(
+            &cell,
+            &reference,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         for (input, run) in INPUT_LIBRARY.iter().zip(&result.runs) {
             if input.kind == ServerKind::Sendmail {
                 assert_eq!(
@@ -1108,7 +1162,11 @@ mod tests {
 
     #[test]
     fn cell_results_are_thread_and_slice_invariant() {
-        let reference = reference_transcripts();
+        let reference = reference_transcripts(
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         let cells = vec![
             CellSpec {
                 mode: Mode::FailureOblivious,
@@ -1123,13 +1181,48 @@ mod tests {
                 table: TableKind::Splay,
             },
         ];
-        let a = run_cells(&cells, &reference, 1, 1);
-        let b = run_cells(&cells, &reference, 4, 5);
-        let c = run_cells(&cells, &reference, 2, usize::MAX);
+        let a = run_cells(
+            &cells,
+            &reference,
+            1,
+            1,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
+        let b = run_cells(
+            &cells,
+            &reference,
+            4,
+            5,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
+        let c = run_cells(
+            &cells,
+            &reference,
+            2,
+            usize::MAX,
+            ExecTier::default(),
+            LookupLayer::default(),
+            &Edge::default(),
+        );
         assert_eq!(a, b);
         assert_eq!(a, c);
         // And equal to the sequential path.
-        let seq: Vec<CellResult> = cells.iter().map(|c| run_cell(c, &reference)).collect();
+        let seq: Vec<CellResult> = cells
+            .iter()
+            .map(|c| {
+                run_cell(
+                    c,
+                    &reference,
+                    ExecTier::default(),
+                    LookupLayer::default(),
+                    &Edge::default(),
+                )
+            })
+            .collect();
         assert_eq!(a, seq);
     }
 }

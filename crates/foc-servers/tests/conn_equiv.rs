@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use foc_memory::Mode;
 use foc_servers::conn::{Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig};
-use foc_servers::sweep::{drive_input_via, INPUT_LIBRARY};
+use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::{BootSpec, ServerKind};
 
 /// A farm small enough to run fifty times in a test, big enough to see
@@ -96,8 +96,8 @@ fn sweep_transcripts_are_edge_invariant() {
     for input in INPUT_LIBRARY {
         for mode in Mode::ALL {
             let spec = BootSpec::new(input.kind, mode);
-            let direct = drive_input_via(input, &spec, &Edge::InProcess);
-            let wired = drive_input_via(input, &spec, &socket);
+            let direct = drive_input(input, &spec, &Edge::InProcess);
+            let wired = drive_input(input, &spec, &socket);
             assert_eq!(
                 direct,
                 wired,
@@ -127,8 +127,8 @@ fn attack_transcripts_survive_adversarial_transport() {
         for edge in &edges {
             for mode in [Mode::FailureOblivious, Mode::Standard] {
                 let spec = BootSpec::new(input.kind, mode);
-                let direct = drive_input_via(input, &spec, &Edge::InProcess);
-                let wired = drive_input_via(input, &spec, edge);
+                let direct = drive_input(input, &spec, &Edge::InProcess);
+                let wired = drive_input(input, &spec, edge);
                 assert_eq!(
                     direct,
                     wired,

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 
 use foc_compiler::{compile_image_tier, ExecTier};
 use foc_memory::{Mode, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::BootSpec;
 use foc_vm::{Checkpoint, Machine, MachineConfig};
@@ -28,9 +29,9 @@ use foc_vm::{Checkpoint, Machine, MachineConfig};
 /// asserts every observable surface agrees, returning the (shared)
 /// observation for callers that want to assert more.
 fn assert_native_blind(input: &SweepInput, spec: BootSpec) -> Driven {
-    let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
+    let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::default());
     for tier in [ExecTier::Super, ExecTier::Native] {
-        let tiered = drive_input(input, &spec.with_tier(tier));
+        let tiered = drive_input(input, &spec.with_tier(tier), &Edge::default());
         assert_eq!(
             baseline,
             tiered,
@@ -156,8 +157,8 @@ proptest! {
         let spec = BootSpec::new(input.kind, Mode::ALL[mode_index])
             .with_sequence(ValueSequence::Cycling { wrap })
             .with_fuel(fuel);
-        let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-        let native = drive_input(input, &spec.with_tier(ExecTier::Native));
+        let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::default());
+        let native = drive_input(input, &spec.with_tier(ExecTier::Native), &Edge::default());
         prop_assert_eq!(baseline, native);
     }
 }

@@ -23,6 +23,7 @@ use proptest::prelude::*;
 
 use foc_compiler::{compile_image_tier, ExecTier};
 use foc_memory::{LookupLayer, MemoryErrorRecord, Mode, SpaceStats, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::BootSpec;
 use foc_vm::{Machine, MachineConfig, RunStats, VmFault};
@@ -232,8 +233,9 @@ fn all_servers_all_modes_attack_library_under_paged_lookup() {
     for input in INPUT_LIBRARY {
         for mode in Mode::ALL {
             let spec = BootSpec::new(input.kind, mode).with_lookup(LookupLayer::Paged);
-            let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-            let native = drive_input(input, &spec.with_tier(ExecTier::Native));
+            let baseline =
+                drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::default());
+            let native = drive_input(input, &spec.with_tier(ExecTier::Native), &Edge::default());
             assert_eq!(
                 baseline,
                 native,

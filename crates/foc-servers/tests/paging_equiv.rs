@@ -19,6 +19,7 @@
 use proptest::prelude::*;
 
 use foc_memory::{AccessCtx, AccessSize, LookupLayer, MemConfig, MemorySpace, Mode, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::BootSpec;
 
@@ -26,8 +27,16 @@ use foc_servers::BootSpec;
 /// asserts every observable surface agrees, returning the (shared)
 /// observation for callers that want to assert more.
 fn assert_layer_blind(input: &SweepInput, spec: BootSpec) -> Driven {
-    let table = drive_input(input, &spec.with_lookup(LookupLayer::Table));
-    let paged = drive_input(input, &spec.with_lookup(LookupLayer::Paged));
+    let table = drive_input(
+        input,
+        &spec.with_lookup(LookupLayer::Table),
+        &Edge::default(),
+    );
+    let paged = drive_input(
+        input,
+        &spec.with_lookup(LookupLayer::Paged),
+        &Edge::default(),
+    );
     assert_eq!(
         table,
         paged,
@@ -103,8 +112,8 @@ fn checkpoint_restore_round_trips_the_page_map() {
     for input in INPUT_LIBRARY.iter().filter(|i| i.attack) {
         let spec =
             BootSpec::new(input.kind, Mode::FailureOblivious).with_lookup(LookupLayer::Paged);
-        let first = drive_input(input, &spec);
-        let restored = drive_input(input, &spec);
+        let first = drive_input(input, &spec, &Edge::default());
+        let restored = drive_input(input, &spec, &Edge::default());
         assert_eq!(
             first,
             restored,
@@ -112,7 +121,11 @@ fn checkpoint_restore_round_trips_the_page_map() {
             input.kind.name(),
             input.name,
         );
-        let table = drive_input(input, &spec.with_lookup(LookupLayer::Table));
+        let table = drive_input(
+            input,
+            &spec.with_lookup(LookupLayer::Table),
+            &Edge::default(),
+        );
         assert_eq!(
             restored,
             table,
@@ -241,8 +254,8 @@ proptest! {
         let spec = BootSpec::new(input.kind, Mode::ALL[mode_index])
             .with_sequence(ValueSequence::Cycling { wrap })
             .with_fuel(fuel);
-        let table = drive_input(input, &spec.with_lookup(LookupLayer::Table));
-        let paged = drive_input(input, &spec.with_lookup(LookupLayer::Paged));
+        let table = drive_input(input, &spec.with_lookup(LookupLayer::Table), &Edge::default());
+        let paged = drive_input(input, &spec.with_lookup(LookupLayer::Paged), &Edge::default());
         prop_assert_eq!(table, paged);
     }
 

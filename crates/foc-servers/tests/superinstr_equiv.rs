@@ -17,6 +17,7 @@ use proptest::prelude::*;
 
 use foc_compiler::ExecTier;
 use foc_memory::{Mode, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::BootSpec;
 
@@ -24,8 +25,8 @@ use foc_servers::BootSpec;
 /// asserts every observable surface agrees, returning the (shared)
 /// observation for callers that want to assert more.
 fn assert_tier_blind(input: &SweepInput, spec: BootSpec) -> Driven {
-    let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-    let fused = drive_input(input, &spec.with_tier(ExecTier::Super));
+    let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::default());
+    let fused = drive_input(input, &spec.with_tier(ExecTier::Super), &Edge::default());
     assert_eq!(
         baseline,
         fused,
@@ -113,8 +114,8 @@ proptest! {
         let spec = BootSpec::new(input.kind, Mode::ALL[mode_index])
             .with_sequence(ValueSequence::Cycling { wrap })
             .with_fuel(fuel);
-        let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-        let fused = drive_input(input, &spec.with_tier(ExecTier::Super));
+        let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::default());
+        let fused = drive_input(input, &spec.with_tier(ExecTier::Super), &Edge::default());
         prop_assert_eq!(baseline, fused);
     }
 }

@@ -8,6 +8,7 @@
 use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::mutt::{attack_folder_name, Mutt};
 use failure_oblivious::servers::Outcome;
+use failure_oblivious::servers::{BootSpec, ServerKind};
 
 fn main() {
     let attack = attack_folder_name(40);
@@ -18,7 +19,7 @@ fn main() {
 
     for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
         println!("=== {} version ===", mode.name());
-        let mut mutt = Mutt::boot(mode, 3);
+        let mut mutt = Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 3);
 
         // The user's client is configured to open the malicious folder.
         let r = mutt.open_folder(&attack);

@@ -14,11 +14,12 @@ use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::sendmail::{attack_address, Sendmail};
 use failure_oblivious::servers::workload;
 use failure_oblivious::servers::Outcome;
+use failure_oblivious::servers::{BootSpec, ServerKind};
 
 fn main() {
     for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
         println!("=== {} version ===", mode.name());
-        let mut sm = Sendmail::boot(mode);
+        let mut sm = Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode));
         match sm.init_outcome() {
             Outcome::Crashed(f) => {
                 println!("  daemon died during its first wake-up: {f}");

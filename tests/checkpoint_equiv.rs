@@ -74,7 +74,7 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
     match kind {
         ServerKind::Apache => {
             let cached = apache::ApacheWorker::boot_spec(&spec);
-            let fresh = apache::ApacheWorker::from_image_spec(&kind.image(), &spec);
+            let fresh = apache::ApacheWorker::boot_image_spec(&kind.image_tier(spec.tier), &spec);
             let drive = |mut w: apache::ApacheWorker| {
                 let steps: Vec<Step> = [
                     w.get(b"/index.html"),
@@ -91,7 +91,7 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
         }
         ServerKind::Sendmail => {
             let cached = sendmail::Sendmail::boot_spec(&spec);
-            let fresh = sendmail::Sendmail::boot_image_spec(&kind.image(), &spec);
+            let fresh = sendmail::Sendmail::boot_image_spec(&kind.image_tier(spec.tier), &spec);
             assert_eq!(
                 cached.init_outcome(),
                 fresh.init_outcome(),
@@ -122,7 +122,7 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
         ServerKind::Pine => {
             let mailbox = failure_oblivious::servers::image::standard_pine_mailbox().clone();
             let cached = pine::Pine::boot_spec(&spec, mailbox.clone());
-            let fresh = pine::Pine::boot_image_spec(&kind.image(), &spec, mailbox);
+            let fresh = pine::Pine::boot_image_spec(&kind.image_tier(spec.tier), &spec, mailbox);
             assert_eq!(
                 cached.init_outcome(),
                 fresh.init_outcome(),
@@ -146,7 +146,7 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
         ServerKind::Mutt => {
             const SEED: usize = failure_oblivious::servers::image::MUTT_SEED_MESSAGES;
             let cached = mutt::Mutt::boot_spec(&spec, SEED);
-            let fresh = mutt::Mutt::boot_image_spec(&kind.image(), &spec, SEED);
+            let fresh = mutt::Mutt::boot_image_spec(&kind.image_tier(spec.tier), &spec, SEED);
             let drive = |mut m: mutt::Mutt| {
                 let steps: Vec<Step> = [
                     m.open_folder(b"INBOX"),
@@ -164,7 +164,7 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
         ServerKind::Mc => {
             let config = failure_oblivious::servers::image::standard_mc_config().clone();
             let cached = mc::Mc::boot_spec(&spec, &config);
-            let fresh = mc::Mc::boot_image_spec(&kind.image(), &spec, &config);
+            let fresh = mc::Mc::boot_image_spec(&kind.image_tier(spec.tier), &spec, &config);
             assert_eq!(
                 cached.init_outcome(),
                 fresh.init_outcome(),
@@ -206,7 +206,7 @@ fn restored_boots_match_fresh_boots_everywhere() {
 /// current mail file (the seed behaviour, kept as the semantic ground
 /// truth the O(delta) restart is compared against).
 fn full_replay_reference(spec: &BootSpec, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> pine::Pine {
-    pine::Pine::boot_image_spec(&ServerKind::Pine.image(), spec, mailbox)
+    pine::Pine::boot_image_spec(&ServerKind::Pine.image_tier(spec.tier), spec, mailbox)
 }
 
 /// Observable identity of a Pine reader: usability, init outcome shape,
@@ -336,7 +336,7 @@ proptest! {
         let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
         let mut cached = apache::ApacheWorker::boot_spec(&spec);
         let mut fresh =
-            apache::ApacheWorker::from_image_spec(&ServerKind::Apache.image(), &spec);
+            apache::ApacheWorker::boot_image_spec(&ServerKind::Apache.image_tier(spec.tier), &spec);
         for i in 0..requests {
             let x = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let url: Vec<u8> = match x % 4 {

@@ -21,6 +21,7 @@
 use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::Outcome;
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload};
+use failure_oblivious::servers::{BootSpec, ServerKind};
 
 /// What one request looked like to the client: return code + bytes.
 type Observed = (Option<i64>, Vec<u8>);
@@ -57,7 +58,7 @@ fn apache_benign_output_is_mode_invariant() {
     let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
         .into_iter()
         .map(|mode| {
-            let mut w = apache::ApacheWorker::boot(mode);
+            let mut w = apache::ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode));
             let steps = vec![
                 observe(w.get(b"/index.html")),
                 observe(w.get(b"/big.bin")),
@@ -77,7 +78,10 @@ fn pine_benign_output_is_mode_invariant() {
     let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
         .into_iter()
         .map(|mode| {
-            let mut p = pine::Pine::boot(mode, pine::Pine::standard_mailbox(5));
+            let mut p = pine::Pine::boot_spec(
+                &BootSpec::new(ServerKind::Pine, mode),
+                pine::Pine::standard_mailbox(5),
+            );
             assert!(p.usable(), "{mode:?}: clean mailbox must load");
             let steps = vec![
                 observe(p.read(0)),
@@ -106,7 +110,7 @@ fn sendmail_benign_output_is_mode_invariant_where_usable() {
     let transcripts: Vec<(Mode, Vec<Observed>)> = usable_modes
         .into_iter()
         .map(|mode| {
-            let mut sm = sendmail::Sendmail::boot(mode);
+            let mut sm = sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode));
             assert!(sm.usable(), "{mode:?}: daemon must start");
             let steps = vec![
                 observe(sm.receive(
@@ -128,7 +132,7 @@ fn sendmail_benign_output_is_mode_invariant_where_usable() {
     assert_transcripts_match("Sendmail", &transcripts);
 
     // ...and the exception itself is part of the expected matrix.
-    let bc = sendmail::Sendmail::boot(Mode::BoundsCheck);
+    let bc = sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::BoundsCheck));
     assert!(!bc.usable(), "Bounds Check sendmail must die at init");
     let Outcome::Crashed(f) = bc.init_outcome() else {
         panic!("expected init crash");
@@ -141,7 +145,8 @@ fn mc_benign_output_is_mode_invariant() {
     let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
         .into_iter()
         .map(|mode| {
-            let mut m = mc::Mc::boot(mode, &mc::clean_config());
+            let mut m =
+                mc::Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), &mc::clean_config());
             assert!(m.usable(), "{mode:?}: clean config must load");
             m.create(b"/tmp/a.txt", 4096, false);
             let steps = vec![
@@ -163,7 +168,7 @@ fn mutt_benign_output_is_mode_invariant() {
     let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
         .into_iter()
         .map(|mode| {
-            let mut m = mutt::Mutt::boot(mode, 3);
+            let mut m = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 3);
             let steps = vec![
                 observe(m.open_folder(b"INBOX")),
                 observe(m.read_message(0)),
@@ -187,7 +192,7 @@ fn mutt_benign_output_is_mode_invariant() {
 #[test]
 fn apache_attack_matrix() {
     // Standard: the offsets overflow smashes the child's stack.
-    let mut w = apache::ApacheWorker::boot(Mode::Standard);
+    let mut w = apache::ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::Standard));
     let r = w.get(&apache::attack_url());
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Standard child must die, got {:?}", r.outcome);
@@ -195,7 +200,8 @@ fn apache_attack_matrix() {
     assert!(f.is_segfault_like(), "got {f}");
 
     // Bounds Check: terminates with a memory error.
-    let mut w = apache::ApacheWorker::boot(Mode::BoundsCheck);
+    let mut w =
+        apache::ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::BoundsCheck));
     let r = w.get(&apache::attack_url());
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Bounds Check child must die, got {:?}", r.outcome);
@@ -204,13 +210,14 @@ fn apache_attack_matrix() {
 
     // Failure Oblivious: the request is processed *correctly* (§4.3.2) —
     // identical to the in-bounds ten-segment rewrite.
-    let mut w = apache::ApacheWorker::boot(Mode::FailureOblivious);
+    let mut w =
+        apache::ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, Mode::FailureOblivious));
     assert_eq!(w.get(&apache::attack_url()).outcome.ret(), Some(200));
     assert_eq!(w.get(b"/index.html").outcome.ret(), Some(200));
 
     // The §5.1 variants also survive and keep serving.
     for mode in [Mode::Boundless, Mode::Redirect] {
-        let mut w = apache::ApacheWorker::boot(mode);
+        let mut w = apache::ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode));
         let r = w.get(&apache::attack_url());
         assert!(r.outcome.survived(), "{mode:?}: {:?}", r.outcome);
         assert_eq!(w.get(b"/index.html").outcome.ret(), Some(200), "{mode:?}");
@@ -226,7 +233,7 @@ fn pine_attack_matrix() {
     };
 
     // Standard: heap corruption while loading the mail file.
-    let p = pine::Pine::boot(Mode::Standard, poisoned());
+    let p = pine::Pine::boot_spec(&BootSpec::new(ServerKind::Pine, Mode::Standard), poisoned());
     assert!(!p.usable());
     let Outcome::Crashed(f) = p.init_outcome() else {
         panic!("expected crash");
@@ -234,7 +241,10 @@ fn pine_attack_matrix() {
     assert!(f.is_segfault_like(), "got {f}");
 
     // Bounds Check: memory-error exit, and restarts die the same way.
-    let mut p = pine::Pine::boot(Mode::BoundsCheck, poisoned());
+    let mut p = pine::Pine::boot_spec(
+        &BootSpec::new(ServerKind::Pine, Mode::BoundsCheck),
+        poisoned(),
+    );
     assert!(!p.usable());
     let Outcome::Crashed(f) = p.init_outcome() else {
         panic!("expected termination");
@@ -245,7 +255,10 @@ fn pine_attack_matrix() {
 
     // Failure Oblivious: loads the poisoned mailbox, serves everything,
     // and renders the complete attack From field via the correct path.
-    let mut p = pine::Pine::boot(Mode::FailureOblivious, poisoned());
+    let mut p = pine::Pine::boot_spec(
+        &BootSpec::new(ServerKind::Pine, Mode::FailureOblivious),
+        poisoned(),
+    );
     assert!(p.usable());
     let r = p.read(2);
     assert_eq!(r.outcome.ret(), Some(0));
@@ -254,7 +267,7 @@ fn pine_attack_matrix() {
 
     // Variants: usable and serving.
     for mode in [Mode::Boundless, Mode::Redirect] {
-        let mut p = pine::Pine::boot(mode, poisoned());
+        let mut p = pine::Pine::boot_spec(&BootSpec::new(ServerKind::Pine, mode), poisoned());
         assert!(p.usable(), "{mode:?} must survive the poisoned mailbox");
         assert_eq!(p.read(0).outcome.ret(), Some(0), "{mode:?}");
     }
@@ -264,7 +277,8 @@ fn pine_attack_matrix() {
 fn sendmail_attack_matrix() {
     // Standard: the prescan overflow smashes the stack with attacker
     // bytes (the modelled control-flow hijack).
-    let mut sm = sendmail::Sendmail::boot(Mode::Standard);
+    let mut sm =
+        sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::Standard));
     let r = sm.mail_from(&sendmail::attack_address(400));
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Standard sendmail must crash, got {:?}", r.outcome);
@@ -275,7 +289,8 @@ fn sendmail_attack_matrix() {
 
     // Failure Oblivious: the attack is rejected as the anticipated
     // "address too long" error (501) and service continues.
-    let mut sm = sendmail::Sendmail::boot(Mode::FailureOblivious);
+    let mut sm =
+        sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
     assert_eq!(
         sm.mail_from(&sendmail::attack_address(120)).outcome.ret(),
         Some(501)
@@ -293,7 +308,7 @@ fn sendmail_attack_matrix() {
 
     // Variants: survive the attack and keep accepting mail.
     for mode in [Mode::Boundless, Mode::Redirect] {
-        let mut sm = sendmail::Sendmail::boot(mode);
+        let mut sm = sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode));
         assert!(sm.usable(), "{mode:?} daemon must start");
         let r = sm.mail_from(&sendmail::attack_address(120));
         assert!(r.outcome.survived(), "{mode:?}: {:?}", r.outcome);
@@ -314,7 +329,10 @@ fn sendmail_attack_matrix() {
 #[test]
 fn mc_attack_matrix() {
     // Standard: the symlink-path overflow escapes the frame.
-    let mut m = mc::Mc::boot(Mode::Standard, &mc::clean_config());
+    let mut m = mc::Mc::boot_spec(
+        &BootSpec::new(ServerKind::Mc, Mode::Standard),
+        &mc::clean_config(),
+    );
     let r = m.open_archive(&mc::attack_links());
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Standard MC must crash, got {:?}", r.outcome);
@@ -322,7 +340,10 @@ fn mc_attack_matrix() {
     assert!(f.is_segfault_like(), "got {f}");
 
     // Bounds Check: memory-error exit.
-    let mut m = mc::Mc::boot(Mode::BoundsCheck, &mc::clean_config());
+    let mut m = mc::Mc::boot_spec(
+        &BootSpec::new(ServerKind::Mc, Mode::BoundsCheck),
+        &mc::clean_config(),
+    );
     let r = m.open_archive(&mc::attack_links());
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Bounds-Check MC must terminate, got {:?}", r.outcome);
@@ -330,7 +351,10 @@ fn mc_attack_matrix() {
     assert!(f.is_memory_error(), "got {f}");
 
     // Failure Oblivious: every link dangles, MC keeps working (§4.5.2).
-    let mut m = mc::Mc::boot(Mode::FailureOblivious, &mc::clean_config());
+    let mut m = mc::Mc::boot_spec(
+        &BootSpec::new(ServerKind::Mc, Mode::FailureOblivious),
+        &mc::clean_config(),
+    );
     let r = m.open_archive(&mc::attack_links());
     assert_eq!(r.outcome.ret(), Some(mc::attack_links().len() as i64));
     m.create(b"/tmp/x", 2048, false);
@@ -338,7 +362,7 @@ fn mc_attack_matrix() {
 
     // Variants: survive and keep working.
     for mode in [Mode::Boundless, Mode::Redirect] {
-        let mut m = mc::Mc::boot(mode, &mc::clean_config());
+        let mut m = mc::Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), &mc::clean_config());
         let r = m.open_archive(&mc::attack_links());
         assert!(r.outcome.survived(), "{mode:?}: {:?}", r.outcome);
         m.create(b"/tmp/x", 2048, false);
@@ -353,7 +377,7 @@ fn mc_attack_matrix() {
 #[test]
 fn mutt_attack_matrix() {
     // Standard: heap corruption from the Figure 1 overflow.
-    let mut m = mutt::Mutt::boot(Mode::Standard, 2);
+    let mut m = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::Standard), 2);
     let r = m.open_folder(&mutt::attack_folder_name(40));
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Standard Mutt must crash, got {:?}", r.outcome);
@@ -361,7 +385,7 @@ fn mutt_attack_matrix() {
     assert!(f.is_segfault_like(), "got {f}");
 
     // Bounds Check: memory-error exit.
-    let mut m = mutt::Mutt::boot(Mode::BoundsCheck, 2);
+    let mut m = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::BoundsCheck), 2);
     let r = m.open_folder(&mutt::attack_folder_name(40));
     let Outcome::Crashed(f) = &r.outcome else {
         panic!("Bounds-Check Mutt must terminate, got {:?}", r.outcome);
@@ -370,7 +394,7 @@ fn mutt_attack_matrix() {
 
     // Failure Oblivious: the attack folder is rejected as nonexistent —
     // the unanticipated attack becomes an anticipated error.
-    let mut m = mutt::Mutt::boot(Mode::FailureOblivious, 2);
+    let mut m = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 2);
     assert_eq!(
         m.open_folder(&mutt::attack_folder_name(40)).outcome.ret(),
         Some(-1)
@@ -380,7 +404,7 @@ fn mutt_attack_matrix() {
 
     // Variants: survive and keep serving.
     for mode in [Mode::Boundless, Mode::Redirect] {
-        let mut m = mutt::Mutt::boot(mode, 2);
+        let mut m = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 2);
         let r = m.open_folder(&mutt::attack_folder_name(40));
         assert!(r.outcome.survived(), "{mode:?}: {:?}", r.outcome);
         assert_eq!(m.open_folder(b"INBOX").outcome.ret(), Some(0), "{mode:?}");

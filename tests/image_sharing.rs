@@ -21,6 +21,7 @@ use failure_oblivious::servers::mutt::Mutt;
 use failure_oblivious::servers::pine::Pine;
 use failure_oblivious::servers::sendmail::Sendmail;
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, Measured};
+use failure_oblivious::servers::{BootSpec, ExecTier};
 
 /// Everything a client could observe about one request.
 type Event = (bool, Option<i64>, Vec<u8>, u64);
@@ -39,17 +40,17 @@ fn sig(m: &Measured) -> Event {
 /// compile, returning the full transcript.
 fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Event> {
     let image = if cached {
-        kind.image()
+        kind.image_tier(ExecTier::default())
     } else {
-        kind.fresh_image()
+        kind.fresh_image_tier(ExecTier::default())
     };
     let mut events = Vec::new();
     match kind {
         ServerKind::Apache => {
             let mut w = if cached {
-                ApacheWorker::boot(mode)
+                ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode))
             } else {
-                ApacheWorker::from_image(&image, mode)
+                ApacheWorker::boot_image_spec(&image, &BootSpec::new(ServerKind::Apache, mode))
             };
             for req in [
                 b"/index.html".to_vec(),
@@ -63,9 +64,9 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
         }
         ServerKind::Sendmail => {
             let mut s = if cached {
-                Sendmail::boot(mode)
+                Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode))
             } else {
-                Sendmail::boot_image(&image, mode)
+                Sendmail::boot_image_spec(&image, &BootSpec::new(ServerKind::Sendmail, mode))
             };
             events.push(sig(&s.receive(
                 &workload::sendmail_address(seed),
@@ -86,9 +87,9 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
         ServerKind::Pine => {
             let mailbox = Pine::standard_mailbox(3);
             let mut p = if cached {
-                Pine::boot(mode, mailbox)
+                Pine::boot_spec(&BootSpec::new(ServerKind::Pine, mode), mailbox)
             } else {
-                Pine::boot_image(&image, mode, mailbox)
+                Pine::boot_image_spec(&image, &BootSpec::new(ServerKind::Pine, mode), mailbox)
             };
             events.push(sig(&p.read(0)));
             events.push(sig(&p.deliver(
@@ -102,9 +103,9 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
         }
         ServerKind::Mutt => {
             let mut m = if cached {
-                Mutt::boot(mode, 2)
+                Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 2)
             } else {
-                Mutt::boot_image(&image, mode, 2)
+                Mutt::boot_image_spec(&image, &BootSpec::new(ServerKind::Mutt, mode), 2)
             };
             events.push(sig(&m.open_folder(b"INBOX")));
             events.push(sig(&m.read_message(0)));
@@ -113,9 +114,13 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
         }
         ServerKind::Mc => {
             let mut m = if cached {
-                Mc::boot(mode, &mc::clean_config())
+                Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), &mc::clean_config())
             } else {
-                Mc::boot_image(&image, mode, &mc::clean_config())
+                Mc::boot_image_spec(
+                    &image,
+                    &BootSpec::new(ServerKind::Mc, mode),
+                    &mc::clean_config(),
+                )
             };
             events.push(sig(&m.copy(b"/home/user/data.bin", b"/tmp/c1")));
             events.push(sig(&m.mkdir(b"/tmp/d1")));
@@ -148,8 +153,8 @@ fn cached_boot_transcripts_match_from_source_boots_everywhere() {
 fn cached_and_fresh_images_share_a_program_id() {
     for kind in ServerKind::ALL {
         assert_eq!(
-            kind.image().id(),
-            kind.fresh_image().id(),
+            kind.image_tier(ExecTier::default()).id(),
+            kind.fresh_image_tier(ExecTier::default()).id(),
             "{}: the cache must serve exactly what a cold compile produces",
             kind.name()
         );
@@ -167,7 +172,7 @@ fn concurrent_farm_threads_observe_one_program_id_per_kind() {
                 scope.spawn(|| {
                     ServerKind::ALL
                         .iter()
-                        .map(|&kind| (kind, kind.image().id()))
+                        .map(|&kind| (kind, kind.image_tier(ExecTier::default()).id()))
                         .collect::<Vec<_>>()
                 })
             })
@@ -175,7 +180,7 @@ fn concurrent_farm_threads_observe_one_program_id_per_kind() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for kind in ServerKind::ALL {
-        let reference = kind.fresh_image().id();
+        let reference = kind.fresh_image_tier(ExecTier::default()).id();
         for per_thread in &observed {
             let &(_, id) = per_thread
                 .iter()

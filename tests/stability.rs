@@ -6,13 +6,17 @@
 
 use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload};
+use failure_oblivious::servers::{BootSpec, ServerKind};
 
 /// Pine: "we used Pine to process roughly 25 new mail messages a day...
 /// periodically sent an email that triggered the memory error... executed
 /// successfully through all errors to perform all requests flawlessly."
 #[test]
 fn pine_stability_with_periodic_attacks() {
-    let mut p = pine::Pine::boot(Mode::FailureOblivious, pine::Pine::standard_mailbox(10));
+    let mut p = pine::Pine::boot_spec(
+        &BootSpec::new(ServerKind::Pine, Mode::FailureOblivious),
+        pine::Pine::standard_mailbox(10),
+    );
     assert!(p.usable());
     let mut delivered = 10i64;
     for day in 0..12u64 {
@@ -71,7 +75,8 @@ fn apache_stability_mixed_traffic() {
 /// commands."
 #[test]
 fn sendmail_stability_with_attacks_and_wakeups() {
-    let mut sm = sendmail::Sendmail::boot(Mode::FailureOblivious);
+    let mut sm =
+        sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
     assert!(sm.usable());
     let mut expect_delivered = 0;
     for i in 0..120u64 {
@@ -107,7 +112,10 @@ fn sendmail_stability_with_attacks_and_wakeups() {
 /// Bounds Check version.
 #[test]
 fn mc_stability_daily_use() {
-    let mut m = mc::Mc::boot(Mode::FailureOblivious, &mc::config_with_blank_line());
+    let mut m = mc::Mc::boot_spec(
+        &BootSpec::new(ServerKind::Mc, Mode::FailureOblivious),
+        &mc::config_with_blank_line(),
+    );
     assert!(m.usable(), "FO MC must start despite the blank config line");
     for session in 0..10 {
         // Periodically open the problematic archive...
@@ -131,7 +139,8 @@ fn mc_stability_daily_use() {
 #[test]
 fn mutt_stability_attack_at_every_load() {
     for round in 0..6 {
-        let mut mt = mutt::Mutt::boot(Mode::FailureOblivious, 6);
+        let mut mt =
+            mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 6);
         // The configured (malicious) folder is tried at startup.
         let r = mt.open_folder(&mutt::attack_folder_name(40));
         assert_eq!(r.outcome.ret(), Some(-1), "round {round}");
@@ -153,7 +162,7 @@ fn mutt_stability_attack_at_every_load() {
 /// hundreds but keep the structure: bulk load, then full scan).
 #[test]
 fn mutt_large_mailbox_scan() {
-    let mut mt = mutt::Mutt::boot(Mode::FailureOblivious, 0);
+    let mut mt = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious), 0);
     for i in 0..60u64 {
         assert!(mt
             .add_message(
@@ -174,7 +183,8 @@ fn mutt_large_mailbox_scan() {
 /// and OOB descriptors are recycled, keeping live bookkeeping bounded.
 #[test]
 fn bookkeeping_stays_bounded_over_long_runs() {
-    let mut sm = sendmail::Sendmail::boot(Mode::FailureOblivious);
+    let mut sm =
+        sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, Mode::FailureOblivious));
     let mut peak_units = 0;
     for i in 0..200u64 {
         if i % 5 == 0 {

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 
 use failure_oblivious::memory::{Mode, SpaceStats, TableKind};
 use failure_oblivious::servers::farm::{run_farm, FarmConfig, ServerKind};
+use failure_oblivious::servers::BootSpec;
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, Measured};
 
 /// One request's observable result, compared byte-for-byte across
@@ -49,7 +50,9 @@ fn transcript(
 ) -> (Vec<Step>, SpaceStats) {
     match kind {
         ServerKind::Apache => {
-            let mut w = apache::ApacheWorker::boot_table(mode, table);
+            let mut w = apache::ApacheWorker::boot_spec(
+                &BootSpec::new(ServerKind::Apache, mode).with_table(table),
+            );
             let mut steps = Vec::new();
             for i in 0..10u64 {
                 let r = match i % 5 {
@@ -67,7 +70,9 @@ fn transcript(
             (steps, *w.process().machine().space().stats())
         }
         ServerKind::Sendmail => {
-            let mut s = sendmail::Sendmail::boot_table(mode, table);
+            let mut s = sendmail::Sendmail::boot_spec(
+                &BootSpec::new(ServerKind::Sendmail, mode).with_table(table),
+            );
             let mut steps = Vec::new();
             for i in 0..8u64 {
                 if !s.usable() {
@@ -91,7 +96,10 @@ fn transcript(
             (steps, *s.process().machine().space().stats())
         }
         ServerKind::Pine => {
-            let mut p = pine::Pine::boot_table(mode, table, pine::Pine::standard_mailbox(3));
+            let mut p = pine::Pine::boot_spec(
+                &BootSpec::new(ServerKind::Pine, mode).with_table(table),
+                pine::Pine::standard_mailbox(3),
+            );
             let mut steps = Vec::new();
             for i in 0..8i64 {
                 if !p.usable() {
@@ -108,7 +116,8 @@ fn transcript(
             (steps, *p.process().machine().space().stats())
         }
         ServerKind::Mutt => {
-            let mut m = mutt::Mutt::boot_table(mode, table, 2);
+            let mut m =
+                mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode).with_table(table), 2);
             let mut steps = Vec::new();
             for i in 0..8i64 {
                 if m.process().is_dead() {
@@ -125,7 +134,10 @@ fn transcript(
             (steps, *m.process().machine().space().stats())
         }
         ServerKind::Mc => {
-            let mut m = mc::Mc::boot_table(mode, table, &mc::clean_config());
+            let mut m = mc::Mc::boot_spec(
+                &BootSpec::new(ServerKind::Mc, mode).with_table(table),
+                &mc::clean_config(),
+            );
             let mut steps = Vec::new();
             for i in 0..8u64 {
                 if !m.usable() {
