@@ -38,9 +38,8 @@
 
 use foc_bench::check::{check_fail, check_gate, env_config, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
-    access_cost_fingerprint, access_cost_row_json, append_access_cost_row, append_mem_cost_row,
-    measure_access_cost, measure_mem_cost, mem_cost_fingerprint, mem_cost_row_json, AccessCost,
-    NativeCost,
+    access_cost_row, measure_access_cost, measure_tier_rates, tier_rates_row, AccessCost,
+    TierRates, MEM_LOOP,
 };
 use foc_compiler::{ExecTier, EXEC_TIER_ENV};
 
@@ -71,7 +70,7 @@ fn print_measurement(cost: &AccessCost) {
     );
 }
 
-fn print_mem_measurement(cost: &NativeCost) {
+fn print_mem_measurement(cost: &TierRates) {
     eprintln!(
         "  copy loop, baseline tier {:>8.1} Minstr/s ± {:.1} ({} instrs/run, {} reps)",
         cost.baseline.minstr_per_s, cost.baseline.minstr_ci95, cost.baseline.instrs, cost.reps
@@ -84,8 +83,8 @@ fn print_mem_measurement(cost: &NativeCost) {
         "  copy loop, native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x super, {:.2}x baseline)",
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline()
+        cost.native_over_super(),
+        cost.native_over_baseline()
     );
 }
 
@@ -104,7 +103,7 @@ fn run_check(native: bool) -> Result<(), String> {
     )?;
     if native {
         eprintln!("access_cost --check: memory-spanning blocks on the guest copy loop ...");
-        let mem = measure_mem_cost(8);
+        let mem = measure_tier_rates(&MEM_LOOP, 8);
         print_mem_measurement(&mem);
         if mem.native.instrs != mem.fused.instrs || mem.native.instrs != mem.baseline.instrs {
             return Err(format!(
@@ -115,7 +114,7 @@ fn run_check(native: bool) -> Result<(), String> {
         }
         check_gate(
             "memory-spanning block execution over the superinstruction tier",
-            mem.speedup_over_super(),
+            mem.native_over_super(),
             MEM_GATE,
             &format!(
                 "{:.1} vs {:.1} Minstr/s",
@@ -125,7 +124,7 @@ fn run_check(native: bool) -> Result<(), String> {
         println!(
             "access_cost --check OK ({:.2}x paged speedup, {:.2}x native copy-loop speedup)",
             cost.speedup(),
-            mem.speedup_over_super()
+            mem.native_over_super()
         );
         return Ok(());
     }
@@ -153,14 +152,11 @@ fn main() {
     let reps = parse_reps("access_cost", &args, 24);
     let cost = measure_access_cost(reps);
     print_measurement(&cost);
-
-    let row = access_cost_row_json(&cost, &access_cost_fingerprint(reps));
-    record_farm_row("access_cost", &row, append_access_cost_row);
+    record_farm_row("access_cost", &access_cost_row(&cost));
 
     if native {
-        let mem = measure_mem_cost(reps);
+        let mem = measure_tier_rates(&MEM_LOOP, reps);
         print_mem_measurement(&mem);
-        let row = mem_cost_row_json(&mem, &mem_cost_fingerprint(reps));
-        record_farm_row("access_cost", &row, append_mem_cost_row);
+        record_farm_row("access_cost", &tier_rates_row(&MEM_LOOP, &mem));
     }
 }

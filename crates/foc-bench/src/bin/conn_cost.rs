@@ -13,8 +13,9 @@
 //!   measurement (default 12 reps per edge); upserts one row into
 //!   `BENCH_farm.json`'s `conn_cost_runs` trajectory (creating the
 //!   section in records that predate it). Rows are keyed by a
-//!   fingerprint of the measurement shape, so re-running the bin on an
-//!   unchanged tree replaces its row instead of duplicating it.
+//!   fingerprint of the measurement shape and configuration, so
+//!   re-running the bin on an unchanged tree and configuration replaces
+//!   its row instead of duplicating it.
 //! * `cargo run --release -p foc-bench --bin conn_cost -- --check` —
 //!   CI gate, three assertions:
 //!   1. every socket scenario reproduces the in-process report
@@ -33,9 +34,8 @@
 
 use foc_bench::check::{check_fail, env_config, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
-    append_conn_cost_row, conn_cost_fingerprint, conn_cost_row_json, conn_cost_smoke,
-    measure_conn_cost, ConnCost, CONN_SLO_K, CONN_SMOKE_FLOOD, CONN_SMOKE_POOL,
-    CONN_SMOKE_REQUESTS, CONN_SMOKE_SERVERS,
+    conn_cost_row, conn_cost_smoke, measure_conn_cost, ConnCost, CONN_SLO_K, CONN_SMOKE_FLOOD,
+    CONN_SMOKE_POOL, CONN_SMOKE_REQUESTS, CONN_SMOKE_SERVERS,
 };
 use foc_memory::Mode;
 use foc_servers::{BootSpec, ServerKind};
@@ -157,6 +157,5 @@ fn main() {
     let reps = parse_reps("conn_cost", &args, 12);
     let cost = measure_conn_cost(reps, spec.tier, spec.lookup);
     print_measurement(&cost);
-    let row = conn_cost_row_json(&cost, &conn_cost_fingerprint(reps, spec.tier));
-    record_farm_row("conn_cost", &row, append_conn_cost_row);
+    record_farm_row("conn_cost", &conn_cost_row(&cost, &spec));
 }

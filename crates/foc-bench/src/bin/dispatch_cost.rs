@@ -22,10 +22,7 @@
 //!   diagnostic otherwise.
 
 use foc_bench::check::{check_fail, check_gate, parse_reps, record_farm_row};
-use foc_bench::farm_report::{
-    append_dispatch_cost_row, dispatch_cost_fingerprint, dispatch_cost_row_json,
-    measure_dispatch_cost, DispatchCost,
-};
+use foc_bench::farm_report::{measure_tier_rates, tier_rates_row, TierRates, DISPATCH_LOOP};
 
 /// The CI bar: fused must beat baseline by this factor on the
 /// manufactured-value loop. The fused loop body dispatches 11 opcodes
@@ -35,7 +32,7 @@ use foc_bench::farm_report::{
 /// on the violation-free loop, by `native_cost`.)
 const GATE: f64 = 1.5;
 
-fn print_measurement(cost: &DispatchCost) {
+fn print_measurement(cost: &TierRates) {
     eprintln!(
         "  baseline tier {:>8.1} Minstr/s ± {:.1} ({} instrs/run, {} reps)",
         cost.baseline.minstr_per_s, cost.baseline.minstr_ci95, cost.baseline.instrs, cost.reps
@@ -44,19 +41,19 @@ fn print_measurement(cost: &DispatchCost) {
         "  super tier    {:>8.1} Minstr/s ± {:.1}  ({:.2}x baseline)",
         cost.fused.minstr_per_s,
         cost.fused.minstr_ci95,
-        cost.speedup()
+        cost.super_over_baseline()
     );
     eprintln!(
         "  native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x baseline)",
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
-        cost.native_speedup()
+        cost.native_over_baseline()
     );
 }
 
 fn run_check() -> Result<(), String> {
     eprintln!("dispatch_cost --check: baseline vs superinstruction tier ...");
-    let cost = measure_dispatch_cost(8);
+    let cost = measure_tier_rates(&DISPATCH_LOOP, 8);
     print_measurement(&cost);
     if cost.fused.instrs != cost.baseline.instrs || cost.native.instrs != cost.baseline.instrs {
         return Err(format!(
@@ -67,7 +64,7 @@ fn run_check() -> Result<(), String> {
     }
     check_gate(
         "superinstruction tier over baseline interpretation rate",
-        cost.speedup(),
+        cost.super_over_baseline(),
         GATE,
         &format!(
             "{:.1} vs {:.1} Minstr/s",
@@ -76,7 +73,7 @@ fn run_check() -> Result<(), String> {
     )?;
     println!(
         "dispatch_cost --check OK ({:.2}x fused speedup, {:.1} Minstr/s fused loop)",
-        cost.speedup(),
+        cost.super_over_baseline(),
         cost.fused.minstr_per_s
     );
     Ok(())
@@ -91,9 +88,7 @@ fn main() {
         return;
     }
     let reps = parse_reps("dispatch_cost", &args, 24);
-    let cost = measure_dispatch_cost(reps);
+    let cost = measure_tier_rates(&DISPATCH_LOOP, reps);
     print_measurement(&cost);
-
-    let row = dispatch_cost_row_json(&cost, &dispatch_cost_fingerprint(reps));
-    record_farm_row("dispatch_cost", &row, append_dispatch_cost_row);
+    record_farm_row("dispatch_cost", &tier_rates_row(&DISPATCH_LOOP, &cost));
 }

@@ -13,7 +13,10 @@
 //!   (suite, scaling sweep with its determinism assertion, boot-cost
 //!   measurement, JSON rendering) without writing the record, so bench
 //!   bitrot fails CI instead of being discovered at measurement time.
-//!   (The stress point has its own smoke bin: `farm_stress --check`.)
+//!   It reads the committed `BENCH_farm.json`, carries every trajectory
+//!   section into the rendered record and fails unless each carried
+//!   section keeps its bytes. (The stress point has its own smoke bin:
+//!   `farm_stress --check`.)
 //!
 //! `FOC_EXEC_TIER`, `FOC_LOOKUP`, `FOC_TABLE` and `FOC_EDGE` pick the
 //! configuration the measurements run on (farms keep the default table
@@ -22,20 +25,23 @@
 
 use foc_bench::check::{check_fail, env_config};
 use foc_bench::farm_report::{
-    farm_suite, measure_boot_cost, measure_record, measure_restart_cost, measure_unit_churn,
-    measure_violation_throughput, render_farm_json, restart_cost_row_json, stress_sweep,
-    thread_scaling, BootCost, FarmRecord, RecordShape, RestartCost, ScalingRow, StressRow,
-    UnitChurn, ViolationThroughput,
+    check_carried, farm_suite, measure_boot_cost, measure_record, measure_restart_cost,
+    measure_unit_churn, measure_violation_throughput, render_farm_json, restart_cost_row,
+    stress_sweep, thread_scaling, trajectory_rows, upsert_trajectory_row, BootCost, FarmRecord,
+    RecordShape, RestartCost, ScalingRow, StressRow, Trajectories, UnitChurn, ViolationThroughput,
 };
 use foc_memory::Mode;
 use foc_servers::conn::{Edge, EDGE_ENV};
 use foc_servers::{env_axis, BootSpec, ServerKind};
 
+/// The trajectory record, relative to the working directory.
+const RECORD_PATH: &str = "BENCH_farm.json";
+
 fn print_summary(record: &FarmRecord) {
     print_reports(&record.reports);
     print_scaling(&record.scaling);
     print_boot(&record.boot);
-    if let Some(row) = record.restart_cost_runs.last() {
+    if let Some(row) = record.trajectories.rows("restart_cost").last() {
         eprintln!("  restart cost (latest row): {row}");
     }
     print_stress(&record.stress, &record.churn);
@@ -43,7 +49,7 @@ fn print_summary(record: &FarmRecord) {
 
 fn print_restart(cost: &RestartCost, violation: &ViolationThroughput) {
     eprintln!(
-        "  restart cost: cold boot+replay {:.0} ns, checkpoint restore {:.0} ns ({:.1}x);          manufactured loop {:.1} Minstr/s",
+        "  restart cost: cold boot+replay {:.0} ns, checkpoint restore {:.0} ns ({:.1}x); manufactured loop {:.1} Minstr/s",
         cost.cold_ns,
         cost.restore_ns,
         cost.speedup(),
@@ -144,30 +150,37 @@ fn run_check(spec: &BootSpec, edge: &Edge) -> Result<(), String> {
         edge,
     )?;
     let churn = measure_unit_churn(16, 2);
-    let restart_rows = vec![restart_cost_row_json(&restart, &violation, "check")];
-    let json = render_farm_json(
-        &reports,
-        &scaling,
-        &boot,
-        &stress,
-        &churn,
-        &restart_rows,
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-        &[],
-    );
-    if json.matches('{').count() != json.matches('}').count() {
-        return Err("rendered record does not balance".to_string());
-    }
     print_reports(&reports);
     print_scaling(&scaling);
     print_boot(&boot);
     print_restart(&restart, &violation);
     print_stress(&stress, &churn);
-    println!("farm_scaling --check OK ({} reports)", reports.len());
+    // Carry the committed trajectory record through a regeneration: every
+    // section must come out byte for byte, in the declared order.
+    let committed = std::fs::read_to_string(RECORD_PATH)
+        .map_err(|e| format!("cannot read committed {RECORD_PATH}: {e}"))?;
+    let record = FarmRecord {
+        reports,
+        scaling,
+        boot,
+        stress,
+        churn,
+        trajectories: Trajectories::carried_from(&committed),
+    };
+    let json = render_farm_json(&record);
+    let carried = check_carried(&committed, &json)?;
+    if json.matches('{').count() != json.matches('}').count() {
+        return Err("rendered record does not balance".to_string());
+    }
+    let row = restart_cost_row(&restart, &violation, spec);
+    let upserted = upsert_trajectory_row(&json, row.section, &row.render())?;
+    if !trajectory_rows(&upserted, row.section).contains(&row.render()) {
+        return Err("a fresh restart_cost row did not land in its section".to_string());
+    }
+    println!(
+        "farm_scaling --check OK ({} reports, {carried} committed trajectory rows carried)",
+        record.reports.len()
+    );
     Ok(())
 }
 
@@ -195,14 +208,13 @@ fn main() {
         }
     }
 
-    let path = "BENCH_farm.json";
-    let previous = std::fs::read_to_string(path).ok();
+    let previous = std::fs::read_to_string(RECORD_PATH).ok();
     let record = match measure_record(&shape, previous.as_deref(), &spec, &edge) {
         Ok(record) => record,
         Err(msg) => check_fail("farm_scaling", &msg),
     };
     print_summary(&record);
 
-    std::fs::write(path, record.render()).expect("write BENCH_farm.json");
-    println!("wrote {path} ({} reports)", record.reports.len());
+    std::fs::write(RECORD_PATH, render_farm_json(&record)).expect("write BENCH_farm.json");
+    println!("wrote {RECORD_PATH} ({} reports)", record.reports.len());
 }

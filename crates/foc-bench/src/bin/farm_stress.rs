@@ -32,7 +32,9 @@
 //! `main`, and an unknown value exits 2.
 
 use foc_bench::check::{check_fail, env_config};
-use foc_bench::farm_report::{measure_record, measure_unit_churn, stress_sweep, RecordShape};
+use foc_bench::farm_report::{
+    measure_record, measure_unit_churn, render_farm_json, stress_sweep, RecordShape,
+};
 use foc_memory::{LookupLayer, Mode, TableKind};
 use foc_servers::conn::{Edge, EDGE_ENV};
 use foc_servers::{env_axis, BootSpec, ServerKind};
@@ -192,6 +194,6 @@ fn main() {
         record.churn.speedup()
     );
 
-    std::fs::write(path, record.render()).expect("write BENCH_farm.json");
+    std::fs::write(path, render_farm_json(&record)).expect("write BENCH_farm.json");
     println!("wrote {path}");
 }

@@ -9,8 +9,9 @@
 //! * `cargo run --release -p foc-bench --bin mode_sweep` — full grid.
 //!   Writes the matrix after every chunk of cells, so an interrupted
 //!   run leaves a valid partial file; on completion renders the
-//!   markdown matrix and appends a wall-time row to `BENCH_farm.json`'s
-//!   `mode_sweep_runs` trajectory.
+//!   markdown matrix and upserts a wall-time row into `BENCH_farm.json`'s
+//!   `mode_sweep_runs` trajectory (exiting 1, matrix files already
+//!   written, when that record is missing or has no such section).
 //! * `... -- --resume` — reuses every cell of the existing
 //!   `SWEEP_matrix.json` whose fingerprint matches the current sweep
 //!   contract (and whose file-level reference transcripts match a fresh
@@ -29,8 +30,8 @@
 
 use std::time::Instant;
 
-use foc_bench::check::{check_fail, env_config};
-use foc_bench::farm_report::{append_mode_sweep_row, mode_sweep_fingerprint, mode_sweep_row_json};
+use foc_bench::check::{check_fail, env_config, record_farm_row};
+use foc_bench::farm_report::mode_sweep_row;
 use foc_bench::sweep_report::{
     diff_against_committed, merge_cells, parse_matrix_json, render_matrix_json,
     render_matrix_markdown, split_resume, MATRIX_MD_PATH, MATRIX_PATH,
@@ -168,32 +169,25 @@ fn run_full(threads: usize, resume: bool, spec: &BootSpec, edge: &Edge) {
         println!("  {class:<22} {n:>5}");
     }
 
-    // Record the sweep's own cost in the farm trajectory. The
-    // fingerprint keys the row to the sweep shape + compiled images, so
-    // re-running on an unchanged tree upserts instead of duplicating.
-    let row = mode_sweep_row_json(
-        matrix.cells.len(),
-        resumed_cells,
-        INPUT_LIBRARY.len(),
-        threads,
-        wall_ms,
-        &mode_sweep_fingerprint(matrix.cells.len(), INPUT_LIBRARY.len(), threads, spec.tier),
-    );
-    match std::fs::read_to_string("BENCH_farm.json") {
-        Ok(bench) => match append_mode_sweep_row(&bench, &row) {
-            Ok(updated) => {
-                std::fs::write("BENCH_farm.json", updated).expect("write BENCH_farm.json");
-                println!("appended mode_sweep row to BENCH_farm.json");
-            }
-            Err(e) => eprintln!("mode_sweep: {e}"),
-        },
-        Err(e) => eprintln!("mode_sweep: cannot read BENCH_farm.json: {e}"),
-    }
     println!(
         "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({} cells, {:.1}s)",
         matrix.cells.len(),
         wall_ms / 1e3
     );
+    // Record the sweep's own cost in the farm trajectory. The
+    // fingerprint keys the row to the sweep shape, compiled images and
+    // configuration, so re-running unchanged upserts instead of
+    // duplicating.
+    let row = mode_sweep_row(
+        matrix.cells.len(),
+        resumed_cells,
+        INPUT_LIBRARY.len(),
+        threads,
+        wall_ms,
+        spec,
+        edge,
+    );
+    record_farm_row("mode_sweep", &row);
 }
 
 fn main() {

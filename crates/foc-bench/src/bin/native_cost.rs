@@ -23,10 +23,7 @@
 //!   diagnostic otherwise.
 
 use foc_bench::check::{check_fail, check_gate, parse_reps, record_farm_row};
-use foc_bench::farm_report::{
-    append_native_cost_row, measure_native_cost, native_cost_fingerprint, native_cost_row_json,
-    NativeCost,
-};
+use foc_bench::farm_report::{measure_tier_rates, tier_rates_row, TierRates, NATIVE_LOOP};
 
 /// The CI bar: native region execution must beat the superinstruction
 /// tier by this factor on the violation-free loop. A region entry
@@ -35,7 +32,7 @@ use foc_bench::farm_report::{
 /// host; 2× holds with room on noisy CI hosts.
 const GATE: f64 = 2.0;
 
-fn print_measurement(cost: &NativeCost) {
+fn print_measurement(cost: &TierRates) {
     eprintln!(
         "  baseline tier {:>8.1} Minstr/s ± {:.1} ({} instrs/run, {} reps)",
         cost.baseline.minstr_per_s, cost.baseline.minstr_ci95, cost.baseline.instrs, cost.reps
@@ -48,14 +45,14 @@ fn print_measurement(cost: &NativeCost) {
         "  native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x super, {:.2}x baseline)",
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline()
+        cost.native_over_super(),
+        cost.native_over_baseline()
     );
 }
 
 fn run_check() -> Result<(), String> {
     eprintln!("native_cost --check: superinstruction tier vs native region execution ...");
-    let cost = measure_native_cost(8);
+    let cost = measure_tier_rates(&NATIVE_LOOP, 8);
     print_measurement(&cost);
     if cost.native.instrs != cost.fused.instrs || cost.native.instrs != cost.baseline.instrs {
         return Err(format!(
@@ -66,7 +63,7 @@ fn run_check() -> Result<(), String> {
     }
     check_gate(
         "native region execution over the superinstruction tier",
-        cost.speedup_over_super(),
+        cost.native_over_super(),
         GATE,
         &format!(
             "{:.1} vs {:.1} Minstr/s",
@@ -75,7 +72,7 @@ fn run_check() -> Result<(), String> {
     )?;
     println!(
         "native_cost --check OK ({:.2}x native over super, {:.1} Minstr/s native loop)",
-        cost.speedup_over_super(),
+        cost.native_over_super(),
         cost.native.minstr_per_s
     );
     Ok(())
@@ -90,9 +87,7 @@ fn main() {
         return;
     }
     let reps = parse_reps("native_cost", &args, 24);
-    let cost = measure_native_cost(reps);
+    let cost = measure_tier_rates(&NATIVE_LOOP, reps);
     print_measurement(&cost);
-
-    let row = native_cost_row_json(&cost, &native_cost_fingerprint(reps));
-    record_farm_row("native_cost", &row, append_native_cost_row);
+    record_farm_row("native_cost", &tier_rates_row(&NATIVE_LOOP, &cost));
 }

@@ -8,8 +8,9 @@
 //!   full measurement (default 24 reps per flavour); upserts one row
 //!   into `BENCH_farm.json`'s `restart_cost_runs` trajectory (creating
 //!   the section in records that predate it). Rows are keyed by a
-//!   fingerprint of the measured images + shape, so re-running the bin
-//!   on an unchanged tree replaces its row instead of duplicating it.
+//!   fingerprint of the measured images, shape and configuration, so
+//!   re-running the bin on an unchanged tree and configuration replaces
+//!   its row instead of duplicating it.
 //! * `cargo run --release -p foc-bench --bin restart_cost -- --check` —
 //!   CI smoke gate (mirroring the PR 2 boot-cost gate): asserts that a
 //!   checkpoint restore beats a cold boot + replay by at least 5×, and
@@ -22,8 +23,8 @@
 
 use foc_bench::check::{check_fail, check_gate, env_config, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
-    append_restart_cost_row, measure_restart_cost, measure_violation_throughput,
-    restart_cost_fingerprint, restart_cost_row_json, RestartCost, ViolationThroughput,
+    measure_restart_cost, measure_violation_throughput, restart_cost_row, RestartCost,
+    ViolationThroughput,
 };
 use foc_memory::Mode;
 use foc_servers::{BootSpec, ServerKind};
@@ -86,11 +87,5 @@ fn main() {
     let cost = measure_restart_cost(reps, spec.tier, spec.lookup, spec.table);
     let violation = measure_violation_throughput(reps.clamp(3, 8));
     print_measurement(&cost, &violation);
-
-    let row = restart_cost_row_json(
-        &cost,
-        &violation,
-        &restart_cost_fingerprint(reps, spec.tier),
-    );
-    record_farm_row("restart_cost", &row, append_restart_cost_row);
+    record_farm_row("restart_cost", &restart_cost_row(&cost, &violation, &spec));
 }

@@ -10,6 +10,8 @@
 
 use foc_servers::EnvError;
 
+use crate::farm_report::{upsert_trajectory_row, TrajectoryRow};
+
 /// Gates `ratio` against the `min` floor. `name` describes the measured
 /// quantity ("superinstruction tier over baseline interpretation
 /// rate"); `detail` carries the raw readings for the diagnostic ("412.0
@@ -59,20 +61,15 @@ pub fn env_config<T>(bin: &str, parsed: Result<T, EnvError>) -> T {
     })
 }
 
-/// Upserts one pre-rendered trajectory row into `BENCH_farm.json` via
-/// the section-specific `append` helper, with the shared read/write and
-/// failure wording.
-pub fn record_farm_row(
-    bin: &str,
-    row: &str,
-    append: impl FnOnce(&str, &str) -> Result<String, String>,
-) {
+/// Upserts `row` into its section of `BENCH_farm.json`, with the shared
+/// read/write and failure wording (`bin` names the failing binary).
+pub fn record_farm_row(bin: &str, row: &TrajectoryRow) {
     let path = "BENCH_farm.json";
     match std::fs::read_to_string(path) {
-        Ok(json) => match append(&json, row) {
+        Ok(json) => match upsert_trajectory_row(&json, row.section, &row.render()) {
             Ok(updated) => {
                 std::fs::write(path, updated).expect("write BENCH_farm.json");
-                println!("recorded {bin} row in {path}");
+                println!("recorded {} row in {path}", row.section);
             }
             Err(e) => check_fail(bin, &e),
         },

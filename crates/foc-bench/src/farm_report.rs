@@ -376,20 +376,39 @@ fn measure_loop_throughput(
 }
 
 // ----------------------------------------------------------------------
-// Dispatch cost: baseline vs superinstruction tier on the same loop.
+// Tier rates: one guest loop's interpretation rate under every tier.
 // ----------------------------------------------------------------------
+
+/// A guest `spin(n)` loop measured under every execution tier, plus the
+/// trajectory section and fingerprint schema tag its rows go under.
+#[derive(Debug, Clone, Copy)]
+pub struct TierLoop {
+    /// Trajectory section the loop's rows are recorded in.
+    pub section: &'static str,
+    /// Fingerprint schema tag.
+    schema: &'static str,
+    /// MiniC source defining `long spin(long n)`.
+    source: &'static str,
+    /// `n` per measured run.
+    iters: i64,
+}
 
 /// The dispatch-cost loop: seven direct-local increment statements,
 /// one in-bounds accumulate, and one past-the-end accumulate per
 /// iteration. Every iteration manufactures a value, but the loop's
 /// wall time is owned by plain interpretation — local arithmetic and
 /// loop control — the regime the superinstruction tier targets. (The
-/// pure storm of [`VIOLATION_LOOP_SOURCE`] would not do here: the
+/// pure storm of `VIOLATION_LOOP_SOURCE` would not do here: the
 /// violation machinery — interning, logging, sequence draw — and the
 /// per-access memory checks are tier-invariant constant work that
 /// swamps dispatch, which is the quantity this benchmark exists to
 /// isolate; that loop's trajectory lives in `restart_cost_runs`.)
-const DISPATCH_LOOP_SOURCE: &str = "long spin(long n) {\n\
+/// 29k iterations is about two million guest instructions, matching
+/// the violation loop's run length.
+pub const DISPATCH_LOOP: TierLoop = TierLoop {
+    section: "dispatch_cost",
+    schema: "dispatch_cost/v2",
+    source: "long spin(long n) {\n\
      int xs[2];\n\
      long i;\n\
      long t = 0;\n\
@@ -401,80 +420,9 @@ const DISPATCH_LOOP_SOURCE: &str = "long spin(long n) {\n\
          acc += xs[5];\n\
      }\n\
      return acc + t;\n\
- }";
-
-/// Iterations per measured dispatch run (about two million guest
-/// instructions, matching the violation loop's run length).
-const DISPATCH_LOOP_ITERS: i64 = 29_000;
-
-/// Interpretation-rate measurement of the dispatch loop under every
-/// execution tier. All runs retire the same guest instruction count
-/// (fused opcodes account for every component of the pattern they
-/// replace, and a native region pre-charges its exact baseline count),
-/// so the rate ratios isolate dispatch overhead: fewer
-/// fetch/decode/match rounds per loop iteration, down to none inside a
-/// lowered region.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchCost {
-    /// Baseline (unfused) tier measurement.
-    pub baseline: ViolationThroughput,
-    /// Superinstruction tier measurement.
-    pub fused: ViolationThroughput,
-    /// Native (AOT region) tier measurement.
-    pub native: ViolationThroughput,
-    /// Repetitions per tier.
-    pub reps: usize,
-}
-
-impl DispatchCost {
-    /// Fused-over-baseline interpretation rate ratio.
-    pub fn speedup(&self) -> f64 {
-        self.fused.minstr_per_s / self.baseline.minstr_per_s
-    }
-
-    /// Native-over-baseline interpretation rate ratio. (On this loop —
-    /// one manufactured value per iteration — the violation machinery
-    /// is tier-invariant constant work, so the ratio understates the
-    /// native tier's dispatch win; `native_cost` isolates that on a
-    /// violation-free loop.)
-    pub fn native_speedup(&self) -> f64 {
-        self.native.minstr_per_s / self.baseline.minstr_per_s
-    }
-}
-
-/// Measures [`DispatchCost`]: `reps` runs of the dispatch loop per
-/// tier, interleaving is unnecessary because each run uses a fresh
-/// machine and the robust summary rejects outliers.
-pub fn measure_dispatch_cost(reps: usize) -> DispatchCost {
-    let baseline = measure_loop_throughput(
-        DISPATCH_LOOP_SOURCE,
-        DISPATCH_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Baseline,
-    );
-    let fused = measure_loop_throughput(
-        DISPATCH_LOOP_SOURCE,
-        DISPATCH_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Super,
-    );
-    let native = measure_loop_throughput(
-        DISPATCH_LOOP_SOURCE,
-        DISPATCH_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Native,
-    );
-    DispatchCost {
-        baseline,
-        fused,
-        native,
-        reps: reps.max(1),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Native cost: AOT region execution vs the superinstruction ceiling.
-// ----------------------------------------------------------------------
+ }",
+    iters: 29_000,
+};
 
 /// The native-cost loop: a dispatch-bound body with *no* memory
 /// violations and no guest heap traffic. The dispatch loop above
@@ -489,8 +437,12 @@ pub fn measure_dispatch_cost(reps: usize) -> DispatchCost {
 /// one pure-local block, and executes pre-resolved operands back to
 /// back against a single borrow of the frame window. This loop is
 /// where the interpreter's remaining ceiling lives, so it is the gate
-/// for the native tier.
-const NATIVE_LOOP_SOURCE: &str = "long spin(long n) {\n\
+/// for the native tier. 30k iterations is about three million guest
+/// instructions.
+pub const NATIVE_LOOP: TierLoop = TierLoop {
+    section: "native_cost",
+    schema: "native_cost/v1",
+    source: "long spin(long n) {\n\
      long i;\n\
      long t = 0;\n\
      long u = 1;\n\
@@ -505,86 +457,26 @@ const NATIVE_LOOP_SOURCE: &str = "long spin(long n) {\n\
          u = u + t + t + 17;\n\
      }\n\
      return t + u;\n\
- }";
-
-/// Iterations per measured native-cost run (about three million guest
-/// instructions, matching the other loop benchmarks' run length).
-const NATIVE_LOOP_ITERS: i64 = 30_000;
-
-/// Interpretation-rate measurement of the violation-free native-cost
-/// loop under every execution tier. As with [`DispatchCost`], all tiers
-/// retire identical guest instruction counts, so the ratios compare
-/// pure execution machinery.
-#[derive(Debug, Clone, Copy)]
-pub struct NativeCost {
-    /// Baseline (unfused) tier measurement.
-    pub baseline: ViolationThroughput,
-    /// Superinstruction tier measurement.
-    pub fused: ViolationThroughput,
-    /// Native (AOT region) tier measurement.
-    pub native: ViolationThroughput,
-    /// Repetitions per tier.
-    pub reps: usize,
-}
-
-impl NativeCost {
-    /// Native-over-superinstruction rate ratio — the headline: how far
-    /// past the fused dispatch ceiling region execution reaches.
-    pub fn speedup_over_super(&self) -> f64 {
-        self.native.minstr_per_s / self.fused.minstr_per_s
-    }
-
-    /// Native-over-baseline rate ratio.
-    pub fn speedup_over_baseline(&self) -> f64 {
-        self.native.minstr_per_s / self.baseline.minstr_per_s
-    }
-}
-
-/// Measures [`NativeCost`]: `reps` runs of the violation-free loop per
-/// tier on fresh machines.
-pub fn measure_native_cost(reps: usize) -> NativeCost {
-    let baseline = measure_loop_throughput(
-        NATIVE_LOOP_SOURCE,
-        NATIVE_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Baseline,
-    );
-    let fused = measure_loop_throughput(
-        NATIVE_LOOP_SOURCE,
-        NATIVE_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Super,
-    );
-    let native = measure_loop_throughput(
-        NATIVE_LOOP_SOURCE,
-        NATIVE_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Native,
-    );
-    NativeCost {
-        baseline,
-        fused,
-        native,
-        reps: reps.max(1),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Memory-block cost: heap-spanning regions on the guest copy shape.
-// ----------------------------------------------------------------------
+ }",
+    iters: 30_000,
+};
 
 /// The memory-block cost loop: the guest-level twin of the access-cost
 /// copy traffic. The inner loop's `dst[i] = src[i]` lowers to a
 /// pointer-arithmetic + checked-access pair per element, exactly the
-/// shape the native tier now admits into `LocalsBlock`s and fuses into
+/// shape the native tier admits into `LocalsBlock`s and fuses into
 /// per-site pre-resolved `GIdxLoad`/`GIdxStore` ops: every access
 /// resolves in-block through the placement probe against the live
 /// register file, no operand-stack round trip, no deopt (all accesses
 /// are in bounds). The super tier interprets the same stream one
 /// checked access at a time, so the ratio isolates what in-block
-/// resolution saves on memory-bound code — the headline the tentpole
-/// gate protects.
-const MEM_LOOP_SOURCE: &str = "long spin(long n) {\n\
+/// resolution saves on memory-bound code. Each of the 2k outer
+/// iterations copies the 64-element buffer once, about three million
+/// guest instructions in all.
+pub const MEM_LOOP: TierLoop = TierLoop {
+    section: "mem_cost",
+    schema: "mem_cost/v1",
+    source: "long spin(long n) {\n\
      long src[64];\n\
      long dst[64];\n\
      long i;\n\
@@ -596,36 +488,53 @@ const MEM_LOOP_SOURCE: &str = "long spin(long n) {\n\
          t = t + dst[63];\n\
      }\n\
      return t;\n\
- }";
+ }",
+    iters: 2_000,
+};
 
-/// Outer iterations per measured memory-cost run (each copies the
-/// 64-element buffer once; about three million guest instructions,
-/// matching the other loop benchmarks' run length).
-const MEM_LOOP_ITERS: i64 = 2_000;
+/// One [`TierLoop`]'s interpretation rate under every execution tier.
+/// All tiers retire the same guest instruction count (fused opcodes
+/// account for every component of the pattern they replace, and a
+/// native region pre-charges its exact baseline count), so the rate
+/// ratios isolate execution machinery: fewer fetch/decode/match rounds
+/// per loop iteration, down to none inside a lowered region.
+#[derive(Debug, Clone, Copy)]
+pub struct TierRates {
+    /// Baseline (unfused) tier measurement.
+    pub baseline: ViolationThroughput,
+    /// Superinstruction tier measurement.
+    pub fused: ViolationThroughput,
+    /// Native (AOT region) tier measurement.
+    pub native: ViolationThroughput,
+    /// Repetitions per tier.
+    pub reps: usize,
+}
 
-/// Measures the guest copy loop under every execution tier, reusing
-/// the [`NativeCost`] shape (same three-tier split, same invariant:
-/// identical retired instruction counts across tiers).
-pub fn measure_mem_cost(reps: usize) -> NativeCost {
-    let baseline = measure_loop_throughput(
-        MEM_LOOP_SOURCE,
-        MEM_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Baseline,
-    );
-    let fused = measure_loop_throughput(
-        MEM_LOOP_SOURCE,
-        MEM_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Super,
-    );
-    let native = measure_loop_throughput(
-        MEM_LOOP_SOURCE,
-        MEM_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Native,
-    );
-    NativeCost {
+impl TierRates {
+    /// Superinstruction-over-baseline rate ratio.
+    pub fn super_over_baseline(&self) -> f64 {
+        self.fused.minstr_per_s / self.baseline.minstr_per_s
+    }
+
+    /// Native-over-superinstruction rate ratio: how far past the fused
+    /// dispatch ceiling region execution reaches.
+    pub fn native_over_super(&self) -> f64 {
+        self.native.minstr_per_s / self.fused.minstr_per_s
+    }
+
+    /// Native-over-baseline rate ratio.
+    pub fn native_over_baseline(&self) -> f64 {
+        self.native.minstr_per_s / self.baseline.minstr_per_s
+    }
+}
+
+/// Measures [`TierRates`]: `reps` runs of `bench` per tier, each on a
+/// fresh machine (the robust summary rejects outliers, so interleaving
+/// the tiers is unnecessary).
+pub fn measure_tier_rates(bench: &TierLoop, reps: usize) -> TierRates {
+    let [baseline, fused, native] = foc_compiler::ExecTier::ALL
+        .map(|tier| measure_loop_throughput(bench.source, bench.iters, reps, tier));
+    TierRates {
         baseline,
         fused,
         native,
@@ -1064,67 +973,18 @@ pub struct FarmRecord {
     pub stress: Vec<StressRow>,
     /// Arena-vs-seed unit-store churn.
     pub churn: UnitChurn,
-    /// Accumulated `restart_cost` rows (checkpoint-restore vs cold
-    /// boot+replay, plus the manufactured-loop violation throughput).
-    /// Regeneration carries the old rows forward and appends a fresh
-    /// measurement, so the trajectory never loses history.
-    pub restart_cost_runs: Vec<String>,
-    /// Accumulated `dispatch_cost` rows (per-tier interpretation rate
-    /// on the manufactured loop). Appended by the `dispatch_cost` bin;
-    /// regeneration carries them forward.
-    pub dispatch_cost_runs: Vec<String>,
-    /// Accumulated `native_cost` rows (per-tier interpretation rate on
-    /// the violation-free dispatch-bound loop; the native-over-super
-    /// ratio is the AOT tier's headline). Appended by the `native_cost`
-    /// bin; regeneration carries them forward.
-    pub native_cost_runs: Vec<String>,
-    /// Accumulated `access_cost` rows (in-bounds access rate, page map
-    /// vs direct table search). Appended by the `access_cost` bin;
-    /// regeneration carries them forward.
-    pub access_cost_runs: Vec<String>,
-    /// Accumulated `mem_cost` rows (per-tier interpretation rate on
-    /// the guest copy loop; the native-over-super ratio gates the
-    /// memory-spanning block executor). Appended by the `access_cost`
-    /// bin under the native tier; regeneration carries them forward.
-    pub mem_cost_runs: Vec<String>,
-    /// Accumulated `conn_cost` rows (the socket edge's transport
-    /// overhead per scenario plus the connection-level SLO). Appended
-    /// by the `conn_cost` bin; regeneration carries them forward.
-    pub conn_cost_runs: Vec<String>,
-    /// Accumulated `mode_sweep` wall-time rows (pre-rendered JSON
-    /// objects, one per recorded full-grid sweep). Regenerating bins
-    /// carry these forward from the previous record so the sweep's own
-    /// cost trajectory survives re-measurement.
-    pub mode_sweep_runs: Vec<String>,
-}
-
-impl FarmRecord {
-    /// Renders the record as the `BENCH_farm.json` document.
-    pub fn render(&self) -> String {
-        render_farm_json(
-            &self.reports,
-            &self.scaling,
-            &self.boot,
-            &self.stress,
-            &self.churn,
-            &self.restart_cost_runs,
-            &self.dispatch_cost_runs,
-            &self.native_cost_runs,
-            &self.access_cost_runs,
-            &self.mem_cost_runs,
-            &self.conn_cost_runs,
-            &self.mode_sweep_runs,
-        )
-    }
+    /// Every trajectory section, carried forward from the previous
+    /// record so regeneration never loses history.
+    pub trajectories: Trajectories,
 }
 
 /// Runs every measurement of the record at the given shape, carrying
-/// forward any `restart_cost` and `mode_sweep` rows from
-/// `previous_json` (the old record's contents, when the caller has
-/// one) so regeneration never drops trajectory history. `spec` names
-/// the execution tier, lookup layer and table backend the measurements
-/// run on (farms keep their own table backend, as the stress sweep
-/// varies it); `edge` carries the farms' requests.
+/// forward every trajectory section of `previous_json` (the old
+/// record's contents, when the caller has one) and upserting a fresh
+/// `restart_cost` row, so regeneration never drops trajectory history.
+/// `spec` names the execution tier, lookup layer and table backend the
+/// measurements run on (farms keep their own table backend, as the
+/// stress sweep varies it); `edge` carries the farms' requests.
 pub fn measure_record(
     shape: &RecordShape,
     previous_json: Option<&str>,
@@ -1177,142 +1037,119 @@ pub fn measure_record(
     )?;
     eprintln!("measuring unit-store churn (arena vs seed boxed baseline) ...");
     let churn = measure_unit_churn(shape.stress_servers, shape.churn_reps);
-    let mut restart_cost_runs = previous_json
-        .map(extract_restart_cost_rows)
-        .unwrap_or_default();
-    upsert_row(
-        &mut restart_cost_runs,
-        restart_cost_row_json(
-            &restart,
-            &violation,
-            &restart_cost_fingerprint(shape.restart_reps, tier),
-        ),
-    );
+    let mut trajectories = Trajectories::carried_from(previous_json.unwrap_or_default());
+    trajectories.upsert(&restart_cost_row(&restart, &violation, spec));
     Ok(FarmRecord {
         reports,
         scaling,
         boot,
         stress,
         churn,
-        restart_cost_runs,
-        dispatch_cost_runs: previous_json
-            .map(extract_dispatch_cost_rows)
-            .unwrap_or_default(),
-        native_cost_runs: previous_json
-            .map(extract_native_cost_rows)
-            .unwrap_or_default(),
-        access_cost_runs: previous_json
-            .map(extract_access_cost_rows)
-            .unwrap_or_default(),
-        mem_cost_runs: previous_json.map(extract_mem_cost_rows).unwrap_or_default(),
-        conn_cost_runs: previous_json
-            .map(extract_conn_cost_rows)
-            .unwrap_or_default(),
-        mode_sweep_runs: previous_json
-            .map(extract_mode_sweep_rows)
-            .unwrap_or_default(),
+        trajectories,
     })
 }
 
 // ----------------------------------------------------------------------
-// Trajectory-row fingerprints: idempotent BENCH_farm.json appends.
+// Trajectory rows: one schema, fingerprint-keyed upserts.
 // ----------------------------------------------------------------------
 
+/// The trajectory sections of `BENCH_farm.json`, in file order. Section
+/// `s` is the `"{s}_runs"` array; each measuring bin upserts its rows
+/// into one of them, and every regeneration carries all of them forward.
+pub const TRAJECTORY_SECTIONS: [&str; 7] = [
+    "restart_cost",
+    "dispatch_cost",
+    "access_cost",
+    "native_cost",
+    "mem_cost",
+    "conn_cost",
+    "mode_sweep",
+];
+
+/// One measured value: its key and its JSON number, rendered once at
+/// the row's fixed precision.
+pub type Metric = (String, String);
+
+/// A fractional metric rendered with `decimals` digits.
+fn metric(key: &str, value: f64, decimals: usize) -> Metric {
+    (key.to_string(), format!("{value:.decimals$}"))
+}
+
+/// An integer metric.
+fn count(key: &str, value: impl std::fmt::Display) -> Metric {
+    (key.to_string(), value.to_string())
+}
+
+/// One trajectory row: what a bin measured, the configuration it
+/// measured under, and the fingerprint that keys the row for upserts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrajectoryRow {
+    /// The section ([`TRAJECTORY_SECTIONS`]) the row belongs to.
+    pub section: &'static str,
+    /// Measured values, in the row's key order.
+    pub metrics: Vec<Metric>,
+    /// Every configuration axis the measurement read (`tier`, `lookup`,
+    /// ...); empty for bins that measure every tier or layer themselves.
+    pub config: Vec<(&'static str, String)>,
+    /// Hash of what was measured (see [`TrajectoryRow::new`]).
+    pub fingerprint: String,
+}
+
+impl TrajectoryRow {
+    /// Builds a row whose fingerprint hashes `identity` (schema tag,
+    /// measured guest image identities, measurement shape) followed by
+    /// each config axis as `key=value`. The measured values are left
+    /// out, so re-running an unchanged bin on an unchanged tree and
+    /// configuration replaces its own row, while a change to the tree,
+    /// the shape or any axis records a fresh one.
+    pub fn new(
+        section: &'static str,
+        metrics: Vec<Metric>,
+        config: Vec<(&'static str, String)>,
+        mut identity: Vec<String>,
+    ) -> TrajectoryRow {
+        identity.extend(config.iter().map(|(k, v)| format!("{k}={v}")));
+        TrajectoryRow {
+            section,
+            metrics,
+            config,
+            fingerprint: fingerprint_of(&identity),
+        }
+    }
+
+    /// Renders the row as one JSON object: metrics, config, fingerprint.
+    pub fn render(&self) -> String {
+        let mut fields: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        fields.extend(
+            self.config
+                .iter()
+                .map(|(k, v)| format!("\"{k}\": \"{}\"", json_escape(v))),
+        );
+        fields.push(format!("\"fingerprint\": \"{}\"", self.fingerprint));
+        format!("{{{}}}", fields.join(", "))
+    }
+}
+
 /// Hashes an ordered list of identity parts into a 64-bit hex
-/// fingerprint. A trajectory row's fingerprint captures *what was
-/// measured* (bin schema version, compiled guest image identities,
-/// execution tier, measurement shape) and deliberately excludes the
-/// measured values themselves. Re-running an unchanged bin on an
-/// unchanged tree therefore reproduces the fingerprint, and the append
-/// helpers replace the matching row instead of growing the array —
-/// trajectory history survives real changes and dedupes reruns.
-fn fingerprint_of(parts: &[&str]) -> String {
+/// fingerprint.
+fn fingerprint_of<S: AsRef<str>>(parts: &[S]) -> String {
     use std::hash::Hasher;
     let mut h = foc_compiler::Fnv1a::new();
     for p in parts {
-        h.write(p.as_bytes());
+        h.write(p.as_ref().as_bytes());
         // Separator byte so ["ab","c"] and ["a","bc"] differ.
         h.write(&[0x1f]);
     }
     format!("{:016x}", h.finish())
 }
 
-/// Fingerprint for a `restart_cost` trajectory row: schema tag, the
-/// five standard server image identities at execution tier `tier` (any
-/// guest-source or lowering change reshapes them), the manufactured
-/// violation loop's baseline image, and the rep count.
-pub fn restart_cost_fingerprint(reps: usize, tier: ExecTier) -> String {
-    let mut parts: Vec<String> = vec!["restart_cost/v2".to_string(), tier.label().to_string()];
-    for kind in ServerKind::ALL {
-        parts.push(kind.image_tier(tier).id().to_string());
-    }
-    let violation =
-        foc_compiler::compile_image(VIOLATION_LOOP_SOURCE).expect("violation loop builds");
-    parts.push(violation.id().to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Fingerprint for a `mode_sweep` trajectory row: schema tag, sweep
-/// shape, execution tier `tier`, and the five server image identities
-/// the sweep interpreted.
-pub fn mode_sweep_fingerprint(
-    cells: usize,
-    inputs: usize,
-    threads: usize,
-    tier: ExecTier,
-) -> String {
-    let mut parts: Vec<String> = vec![
-        "mode_sweep/v2".to_string(),
-        tier.label().to_string(),
-        cells.to_string(),
-        inputs.to_string(),
-        threads.to_string(),
-    ];
-    for kind in ServerKind::ALL {
-        parts.push(kind.image_tier(tier).id().to_string());
-    }
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Fingerprint for a `dispatch_cost` trajectory row: schema tag, the
-/// dispatch loop's image identity under *every* tier (so a lowering
-/// change that reshapes fusion or region extraction re-measures), loop
-/// length, rep count.
-pub fn dispatch_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["dispatch_cost/v2".to_string()];
-    for tier in foc_compiler::ExecTier::ALL {
-        let image = foc_compiler::compile_image_tier(DISPATCH_LOOP_SOURCE, tier)
-            .expect("dispatch loop builds");
-        parts.push(image.id().to_string());
-    }
-    parts.push(DISPATCH_LOOP_ITERS.to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Fingerprint for a `native_cost` trajectory row: schema tag, the
-/// violation-free loop's image identity under every tier, loop length,
-/// rep count.
-pub fn native_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["native_cost/v1".to_string()];
-    for tier in foc_compiler::ExecTier::ALL {
-        let image =
-            foc_compiler::compile_image_tier(NATIVE_LOOP_SOURCE, tier).expect("native loop builds");
-        parts.push(image.id().to_string());
-    }
-    parts.push(NATIVE_LOOP_ITERS.to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Extracts the `"fingerprint"` value of a pre-rendered row, if it has
-/// one. Rows recorded before fingerprinting existed have none and are
-/// never matched (so they are always preserved).
+/// Extracts the `"fingerprint"` value of a rendered row, if it has one.
+/// Rows recorded before fingerprinting existed have none and are never
+/// matched (so they are always preserved).
 fn row_fingerprint(row: &str) -> Option<&str> {
     let marker = "\"fingerprint\": \"";
     let at = row.find(marker)? + marker.len();
@@ -1333,413 +1170,287 @@ fn upsert_row(rows: &mut Vec<String>, row: String) {
     rows.push(row);
 }
 
-// ----------------------------------------------------------------------
-// The mode_sweep cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Renders one `mode_sweep` wall-time row: how much the full-grid sweep
-/// itself cost, so the sweep's price is tracked over time next to the
-/// measurements it gates.
-pub fn mode_sweep_row_json(
-    cells: usize,
-    resumed: usize,
-    inputs: usize,
-    threads: usize,
-    wall_ms: f64,
-    fingerprint: &str,
-) -> String {
-    format!(
-        concat!(
-            "{{\"cells\": {}, \"resumed_cells\": {}, \"inputs\": {}, ",
-            "\"threads\": {}, \"wall_ms\": {:.1}, \"fingerprint\": \"{}\"}}"
-        ),
-        cells, resumed, inputs, threads, wall_ms, fingerprint
-    )
+/// Byte span of section `section`'s `[...]` array in `json`.
+fn rows_span(json: &str, section: &str) -> Option<(usize, usize)> {
+    let marker = format!("\"{section}_runs\": [");
+    let open = json.find(&marker)? + marker.len() - 1;
+    let close = open + json[open..].find(']')?;
+    Some((open, close + 1))
 }
 
-/// Extracts the pre-rendered rows of the trajectory array named `key`
-/// from an existing `BENCH_farm.json` document (empty when the file
-/// predates the section or has none).
-fn extract_rows_section(json: &str, key: &str) -> Vec<String> {
-    let marker = format!("\"{key}\": [");
-    let Some(start) = json.find(&marker) else {
+/// Renders a section's array, one row per line.
+fn render_rows(rows: &[String]) -> String {
+    if rows.is_empty() {
+        return "[]".to_string();
+    }
+    format!("[\n    {}\n  ]", rows.join(",\n    "))
+}
+
+/// The rows of trajectory section `section` in a `BENCH_farm.json`
+/// document, each exactly as recorded (empty when the document lacks
+/// the section).
+pub fn trajectory_rows(json: &str, section: &str) -> Vec<String> {
+    let Some((open, close)) = rows_span(json, section) else {
         return Vec::new();
     };
-    let body = &json[start + marker.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    body[..end]
+    json[open + 1..close - 1]
         .lines()
         .map(|l| l.trim().trim_end_matches(',').to_string())
         .filter(|l| l.starts_with('{'))
         .collect()
 }
 
-/// Rewrites the trajectory array named `key` in place with `rows`.
-/// Errors when the document has no such section.
-fn replace_rows_section(json: &str, key: &str, rows: &[String]) -> Result<String, String> {
-    let marker = format!("\"{key}\": [");
-    let Some(start) = json.find(&marker) else {
-        return Err(format!(
-            "BENCH_farm.json has no {key} section; regenerate it with farm_scaling"
-        ));
-    };
-    let body_at = start + marker.len();
-    let Some(end) = json[body_at..].find(']') else {
-        return Err(format!("BENCH_farm.json {key} section is unterminated"));
-    };
-    let mut section = String::from("\n");
-    for (i, r) in rows.iter().enumerate() {
-        section.push_str("    ");
-        section.push_str(r);
-        if i + 1 < rows.len() {
-            section.push(',');
-        }
-        section.push('\n');
+/// Returns `json` with the rendered `row` upserted into trajectory
+/// section `section`: the row sharing its fingerprint is replaced in
+/// place (so an unchanged rerun is idempotent), otherwise `row` is
+/// appended. Every other byte is kept. A document that predates the
+/// section gains it just before `mode_sweep_runs`; one without that
+/// anchor is refused.
+pub fn upsert_trajectory_row(json: &str, section: &str, row: &str) -> Result<String, String> {
+    let mut rows = trajectory_rows(json, section);
+    upsert_row(&mut rows, row.to_string());
+    let array = render_rows(&rows);
+    if let Some((open, close)) = rows_span(json, section) {
+        return Ok(format!("{}{array}{}", &json[..open], &json[close..]));
     }
-    section.push_str("  ");
+    let at = json.find("  \"mode_sweep_runs\": [").ok_or_else(|| {
+        format!(
+            "BENCH_farm.json has no {section}_runs section and no mode_sweep_runs section \
+             to anchor one; regenerate it with farm_scaling"
+        )
+    })?;
     Ok(format!(
-        "{}{}{}",
-        &json[..body_at],
-        section,
-        &json[body_at + end..]
+        "{}  \"{section}_runs\": {array},\n{}",
+        &json[..at],
+        &json[at..]
     ))
 }
 
-/// Extracts the pre-rendered `mode_sweep_runs` rows from an existing
-/// `BENCH_farm.json` document (empty when the file predates the
-/// section or has none).
-pub fn extract_mode_sweep_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "mode_sweep_runs")
+/// Checks that `rendered`, a regeneration of the record `previous`,
+/// carried every trajectory section `previous` has byte for byte, and
+/// that `previous` holds them in [`TRAJECTORY_SECTIONS`] order (so the
+/// regeneration moved none). Returns the number of rows carried.
+pub fn check_carried(previous: &str, rendered: &str) -> Result<usize, String> {
+    let (mut carried, mut last) = (0, 0);
+    for section in TRAJECTORY_SECTIONS {
+        let Some((open, close)) = rows_span(previous, section) else {
+            continue;
+        };
+        if open < last {
+            return Err(format!(
+                "{section}_runs is out of the declared section order"
+            ));
+        }
+        last = open;
+        if rows_span(rendered, section).map(|(o, c)| &rendered[o..c])
+            != Some(&previous[open..close])
+        {
+            return Err(format!("regeneration changed the {section}_runs section"));
+        }
+        carried += trajectory_rows(previous, section).len();
+    }
+    Ok(carried)
 }
 
-/// Returns `json` with `row` upserted into its `mode_sweep_runs` array
-/// (rewriting the section in place): a row carrying the same
-/// fingerprint is replaced, otherwise `row` is appended, so re-running
-/// the unchanged bin is idempotent. Errors when the document has no
-/// such section — regenerate the record with `farm_scaling` first.
-pub fn append_mode_sweep_row(json: &str, row: &str) -> Result<String, String> {
-    let mut rows = extract_mode_sweep_rows(json);
-    upsert_row(&mut rows, row.to_string());
-    replace_rows_section(json, "mode_sweep_runs", &rows)
+/// Every trajectory section of one record, in [`TRAJECTORY_SECTIONS`]
+/// order, each row exactly as recorded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trajectories(Vec<(&'static str, Vec<String>)>);
+
+impl Trajectories {
+    /// Carries every section of the `BENCH_farm.json` document `json`
+    /// forward (a section it lacks starts empty).
+    pub fn carried_from(json: &str) -> Trajectories {
+        Trajectories(
+            TRAJECTORY_SECTIONS
+                .iter()
+                .map(|&s| (s, trajectory_rows(json, s)))
+                .collect(),
+        )
+    }
+
+    /// The rows of `section`.
+    pub fn rows(&self, section: &str) -> &[String] {
+        self.0
+            .iter()
+            .find(|(s, _)| *s == section)
+            .map_or(&[], |(_, rows)| rows)
+    }
+
+    /// Upserts `row` into its section by fingerprint.
+    fn upsert(&mut self, row: &TrajectoryRow) {
+        let (_, rows) = self
+            .0
+            .iter_mut()
+            .find(|(s, _)| *s == row.section)
+            .expect("rows name a trajectory section");
+        upsert_row(rows, row.render());
+    }
+
+    /// Renders every section, one `"{section}_runs"` member each.
+    fn render(&self) -> String {
+        self.0
+            .iter()
+            .map(|(s, rows)| format!("  \"{s}_runs\": {},\n", render_rows(rows)))
+            .collect()
+    }
 }
 
-// ----------------------------------------------------------------------
-// The restart_cost trajectory.
-// ----------------------------------------------------------------------
+/// The config of a row measured on `spec`'s execution tier and lookup
+/// layer.
+fn tier_lookup_config(spec: &BootSpec) -> Vec<(&'static str, String)> {
+    vec![
+        ("tier", spec.tier.label().to_string()),
+        ("lookup", spec.lookup.name().to_string()),
+    ]
+}
 
-/// Renders one `restart_cost` trajectory row: the checkpoint-restore
-/// versus cold boot+replay split plus the manufactured-loop violation
-/// throughput measured alongside it.
-pub fn restart_cost_row_json(
+/// Identities of the five standard server images at `tier`: any
+/// guest-source or lowering change reshapes them.
+fn server_image_ids(tier: ExecTier) -> impl Iterator<Item = String> {
+    ServerKind::ALL
+        .into_iter()
+        .map(move |kind| kind.image_tier(tier).id().to_string())
+}
+
+/// The `restart_cost` row: checkpoint restore versus cold boot+replay,
+/// plus the manufactured-loop violation throughput measured alongside.
+/// Keyed by the server images and the violation loop's baseline image,
+/// the rep count, and `spec`'s tier, lookup layer and table backend.
+pub fn restart_cost_row(
     restart: &RestartCost,
     violation: &ViolationThroughput,
-    fingerprint: &str,
-) -> String {
-    format!(
-        concat!(
-            "{{\"cold_boot_replay_ns\": {:.0}, \"cold_ci95_ns\": {:.0}, ",
-            "\"checkpoint_restore_ns\": {:.0}, \"restore_ci95_ns\": {:.0}, ",
-            "\"speedup\": {:.1}, \"reps\": {}, ",
-            "\"violation_minstr_per_s\": {:.1}, \"violation_minstr_ci95\": {:.1}, ",
-            "\"violation_instrs\": {}, \"fingerprint\": \"{}\"}}"
-        ),
-        restart.cold_ns,
-        restart.cold_ci95_ns,
-        restart.restore_ns,
-        restart.restore_ci95_ns,
-        restart.speedup(),
-        restart.reps,
-        violation.minstr_per_s,
-        violation.minstr_ci95,
-        violation.instrs,
-        fingerprint,
+    spec: &BootSpec,
+) -> TrajectoryRow {
+    let mut identity = vec!["restart_cost/v3".to_string()];
+    identity.extend(server_image_ids(spec.tier));
+    let violation_image =
+        foc_compiler::compile_image(VIOLATION_LOOP_SOURCE).expect("violation loop builds");
+    identity.push(violation_image.id().to_string());
+    identity.push(restart.reps.to_string());
+    let mut config = tier_lookup_config(spec);
+    config.push(("table", spec.table.name().to_string()));
+    TrajectoryRow::new(
+        "restart_cost",
+        vec![
+            metric("cold_boot_replay_ns", restart.cold_ns, 0),
+            metric("cold_ci95_ns", restart.cold_ci95_ns, 0),
+            metric("checkpoint_restore_ns", restart.restore_ns, 0),
+            metric("restore_ci95_ns", restart.restore_ci95_ns, 0),
+            metric("speedup", restart.speedup(), 1),
+            count("reps", restart.reps),
+            metric("violation_minstr_per_s", violation.minstr_per_s, 1),
+            metric("violation_minstr_ci95", violation.minstr_ci95, 1),
+            count("violation_instrs", violation.instrs),
+        ],
+        config,
+        identity,
     )
 }
 
-/// Extracts the `restart_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_restart_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "restart_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `restart_cost_runs`
-/// array (same-fingerprint rows are replaced in place, so an unchanged
-/// bin rerun is idempotent). A record that predates the section
-/// (rendered before the checkpoint layer existed) gains one, inserted
-/// just before `mode_sweep_runs`, so the `restart_cost` bin can record
-/// into an old file without a full regeneration.
-pub fn append_restart_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"restart_cost_runs\": [") {
-        let mut rows = extract_restart_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "restart_cost_runs", &rows);
+/// A [`TierLoop`]'s row in its section: the rate under every tier and
+/// two ratios. Keyed by the loop's image under every tier (a lowering
+/// change that reshapes fusion or region extraction re-measures), loop
+/// length and rep count; the config is empty, as every tier is measured.
+pub fn tier_rates_row(bench: &TierLoop, rates: &TierRates) -> TrajectoryRow {
+    let mut metrics = Vec::new();
+    for (tier, m) in [
+        ("baseline", &rates.baseline),
+        ("super", &rates.fused),
+        ("native", &rates.native),
+    ] {
+        metrics.push(metric(&format!("{tier}_minstr_per_s"), m.minstr_per_s, 1));
+        metrics.push(metric(&format!("{tier}_minstr_ci95"), m.minstr_ci95, 1));
     }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor restart_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"restart_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
-// The dispatch_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Renders one `dispatch_cost` trajectory row: the manufactured loop's
-/// interpretation rate under all three execution tiers and the
-/// per-tier speedups over baseline.
-pub fn dispatch_cost_row_json(cost: &DispatchCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"super_minstr_per_s\": {:.1}, \"super_minstr_ci95\": {:.1}, ",
-            "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup\": {:.2}, \"native_speedup\": {:.2}, ",
-            "\"instrs\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.baseline.minstr_per_s,
-        cost.baseline.minstr_ci95,
-        cost.fused.minstr_per_s,
-        cost.fused.minstr_ci95,
-        cost.native.minstr_per_s,
-        cost.native.minstr_ci95,
-        cost.speedup(),
-        cost.native_speedup(),
-        cost.fused.instrs,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `dispatch_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_dispatch_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "dispatch_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `dispatch_cost_runs`
-/// array. A record that predates the section gains one, inserted just
-/// before `mode_sweep_runs`.
-pub fn append_dispatch_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"dispatch_cost_runs\": [") {
-        let mut rows = extract_dispatch_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "dispatch_cost_runs", &rows);
+    // dispatch_cost's headline predates the native tier: super over
+    // baseline. The later loops headline native over super.
+    if bench.section == DISPATCH_LOOP.section {
+        metrics.push(metric("speedup", rates.super_over_baseline(), 2));
+        metrics.push(metric("native_speedup", rates.native_over_baseline(), 2));
+        metrics.push(count("instrs", rates.fused.instrs));
+    } else {
+        metrics.push(metric("speedup_over_super", rates.native_over_super(), 2));
+        metrics.push(metric(
+            "speedup_over_baseline",
+            rates.native_over_baseline(),
+            2,
+        ));
+        metrics.push(count("instrs", rates.native.instrs));
     }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor dispatch_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"dispatch_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
-// The native_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Renders one `native_cost` trajectory row: the violation-free loop's
-/// interpretation rate under all three tiers, with the
-/// native-over-super ratio as the headline speedup.
-pub fn native_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"super_minstr_per_s\": {:.1}, \"super_minstr_ci95\": {:.1}, ",
-            "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup_over_super\": {:.2}, \"speedup_over_baseline\": {:.2}, ",
-            "\"instrs\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.baseline.minstr_per_s,
-        cost.baseline.minstr_ci95,
-        cost.fused.minstr_per_s,
-        cost.fused.minstr_ci95,
-        cost.native.minstr_per_s,
-        cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline(),
-        cost.native.instrs,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `native_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_native_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "native_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `native_cost_runs`
-/// array. A record that predates the section gains one, inserted just
-/// before `mode_sweep_runs`.
-pub fn append_native_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"native_cost_runs\": [") {
-        let mut rows = extract_native_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "native_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor native_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"native_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
-// The access_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Fingerprint for an `access_cost` trajectory row: schema tag and the
-/// measurement shape (table depth, buffer size, passes, rep count). No
-/// guest images are involved — the bench drives the substrate directly
-/// — so only a shape change re-measures.
-pub fn access_cost_fingerprint(reps: usize) -> String {
-    let parts: Vec<String> = vec![
-        "access_cost/v1".to_string(),
-        ACCESS_DEPTH_ALLOCS.to_string(),
-        ACCESS_BUF_BYTES.to_string(),
-        ACCESS_COPY_PASSES.to_string(),
-        reps.to_string(),
-    ];
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Renders one `access_cost` trajectory row: the in-bounds access rate
-/// under both lookup layers and their ratio.
-pub fn access_cost_row_json(cost: &AccessCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"table_maccess_per_s\": {:.1}, \"table_maccess_ci95\": {:.1}, ",
-            "\"paged_maccess_per_s\": {:.1}, \"paged_maccess_ci95\": {:.1}, ",
-            "\"speedup\": {:.2}, \"accesses\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.table.maccess_per_s,
-        cost.table.maccess_ci95,
-        cost.paged.maccess_per_s,
-        cost.paged.maccess_ci95,
-        cost.speedup(),
-        cost.accesses,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `access_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_access_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "access_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `access_cost_runs`
-/// array. A record that predates the section gains one, inserted just
-/// before `mode_sweep_runs`.
-pub fn append_access_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"access_cost_runs\": [") {
-        let mut rows = extract_access_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "access_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor access_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"access_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
-// The mem_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Fingerprint for a `mem_cost` trajectory row: schema tag, the guest
-/// copy loop's image identity under every tier (a lowering change that
-/// reshapes block grouping or access fusion re-measures), loop length,
-/// rep count.
-pub fn mem_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["mem_cost/v1".to_string()];
+    metrics.push(count("reps", rates.reps));
+    let mut identity = vec![bench.schema.to_string()];
     for tier in foc_compiler::ExecTier::ALL {
-        let image =
-            foc_compiler::compile_image_tier(MEM_LOOP_SOURCE, tier).expect("mem loop builds");
-        parts.push(image.id().to_string());
+        let image = foc_compiler::compile_image_tier(bench.source, tier).expect("tier loop builds");
+        identity.push(image.id().to_string());
     }
-    parts.push(MEM_LOOP_ITERS.to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
+    identity.push(bench.iters.to_string());
+    identity.push(rates.reps.to_string());
+    TrajectoryRow::new(bench.section, metrics, Vec::new(), identity)
 }
 
-/// Renders one `mem_cost` trajectory row: the guest copy loop's
-/// interpretation rate under all three tiers, with the
-/// native-over-super ratio as the headline speedup.
-pub fn mem_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"super_minstr_per_s\": {:.1}, \"super_minstr_ci95\": {:.1}, ",
-            "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup_over_super\": {:.2}, \"speedup_over_baseline\": {:.2}, ",
-            "\"instrs\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.baseline.minstr_per_s,
-        cost.baseline.minstr_ci95,
-        cost.fused.minstr_per_s,
-        cost.fused.minstr_ci95,
-        cost.native.minstr_per_s,
-        cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline(),
-        cost.native.instrs,
-        cost.reps,
-        fingerprint,
+/// The `access_cost` row: the in-bounds access rate under both lookup
+/// layers and their ratio. Keyed by the measurement shape (table depth,
+/// buffer size, passes, rep count) alone: no guest images are involved,
+/// and both layers are measured.
+pub fn access_cost_row(cost: &AccessCost) -> TrajectoryRow {
+    TrajectoryRow::new(
+        "access_cost",
+        vec![
+            metric("table_maccess_per_s", cost.table.maccess_per_s, 1),
+            metric("table_maccess_ci95", cost.table.maccess_ci95, 1),
+            metric("paged_maccess_per_s", cost.paged.maccess_per_s, 1),
+            metric("paged_maccess_ci95", cost.paged.maccess_ci95, 1),
+            metric("speedup", cost.speedup(), 2),
+            count("accesses", cost.accesses),
+            count("reps", cost.reps),
+        ],
+        Vec::new(),
+        vec![
+            "access_cost/v1".to_string(),
+            ACCESS_DEPTH_ALLOCS.to_string(),
+            ACCESS_BUF_BYTES.to_string(),
+            ACCESS_COPY_PASSES.to_string(),
+            cost.reps.to_string(),
+        ],
     )
 }
 
-/// Extracts the `mem_cost_runs` rows from an existing record (empty
-/// when the record predates the section).
-pub fn extract_mem_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "mem_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `mem_cost_runs` array.
-/// A record that predates the section gains one, inserted just before
-/// `mode_sweep_runs`.
-pub fn append_mem_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"mem_cost_runs\": [") {
-        let mut rows = extract_mem_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "mem_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor mem_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"mem_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
+/// The `mode_sweep` row: how much one full-grid sweep cost, so the
+/// sweep's price is tracked next to the measurements it gates. Keyed by
+/// the sweep shape (resumed cells included: a resumed sweep times far
+/// less work), the server images at `spec`'s tier, and `spec`'s tier
+/// and lookup layer plus the request `edge`.
+pub fn mode_sweep_row(
+    cells: usize,
+    resumed: usize,
+    inputs: usize,
+    threads: usize,
+    wall_ms: f64,
+    spec: &BootSpec,
+    edge: &Edge,
+) -> TrajectoryRow {
+    let mut identity = vec![
+        "mode_sweep/v3".to_string(),
+        cells.to_string(),
+        resumed.to_string(),
+        inputs.to_string(),
+        threads.to_string(),
+    ];
+    identity.extend(server_image_ids(spec.tier));
+    let mut config = tier_lookup_config(spec);
+    config.push(("edge", edge.label().to_string()));
+    TrajectoryRow::new(
+        "mode_sweep",
+        vec![
+            count("cells", cells),
+            count("resumed_cells", resumed),
+            count("inputs", inputs),
+            count("threads", threads),
+            metric("wall_ms", wall_ms, 1),
+        ],
+        config,
+        identity,
+    )
 }
 
 // ----------------------------------------------------------------------
@@ -1909,81 +1620,44 @@ pub fn conn_cost_smoke(tier: ExecTier, lookup: LookupLayer) -> (FarmReport, u64)
     (run_farm(&config), connections)
 }
 
-/// Fingerprint for a `conn_cost` trajectory row: schema tag, execution
-/// tier `tier`, the Apache image identity (the measured guest), the farm
-/// and connection-pool shape, the SLO multiplier, and the rep count.
-pub fn conn_cost_fingerprint(reps: usize, tier: ExecTier) -> String {
+/// The `conn_cost` row: wall time per edge, the socket-over-in-process
+/// overhead ratio, and the connection-level SLO. Keyed by the Apache
+/// image (the measured guest) at `spec`'s tier, the farm and
+/// connection-pool shape, the SLO multiplier, the rep count, and
+/// `spec`'s tier and lookup layer (the bin names its own edges).
+pub fn conn_cost_row(cost: &ConnCost, spec: &BootSpec) -> TrajectoryRow {
+    let mut metrics = Vec::new();
+    for (edge, rate) in [
+        ("in_process", &cost.in_process),
+        ("socket", &cost.socket),
+        ("slow_loris", &cost.slow_loris),
+        ("disconnect", &cost.disconnect),
+    ] {
+        metrics.push(metric(&format!("{edge}_wall_ms"), rate.wall_ms, 2));
+        metrics.push(metric(&format!("{edge}_ci95"), rate.wall_ms_ci95, 2));
+    }
+    metrics.extend([
+        metric("socket_overhead", cost.socket_overhead(), 2),
+        count(
+            &format!("slo_within_{CONN_SLO_K}x_median_bp"),
+            cost.slo_within_bp,
+        ),
+        count("servers", cost.servers),
+        count("requests_per_server", cost.requests),
+        count("reps", cost.reps),
+    ]);
     let pool = SocketEdge::default();
-    let parts: Vec<String> = vec![
-        "conn_cost/v1".to_string(),
-        tier.label().to_string(),
-        ServerKind::Apache.image_tier(tier).id().to_string(),
+    let identity = vec![
+        "conn_cost/v2".to_string(),
+        ServerKind::Apache.image_tier(spec.tier).id().to_string(),
         CONN_COST_SERVERS.to_string(),
         CONN_COST_REQUESTS.to_string(),
         pool.connections.to_string(),
         pool.backlog.to_string(),
         CONN_SLO_K.to_string(),
-        reps.to_string(),
+        cost.reps.to_string(),
     ];
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Renders one `conn_cost` trajectory row: wall time per edge, the
-/// socket-over-in-process overhead ratio, and the connection-level SLO.
-pub fn conn_cost_row_json(cost: &ConnCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"in_process_wall_ms\": {:.2}, \"in_process_ci95\": {:.2}, ",
-            "\"socket_wall_ms\": {:.2}, \"socket_ci95\": {:.2}, ",
-            "\"slow_loris_wall_ms\": {:.2}, \"slow_loris_ci95\": {:.2}, ",
-            "\"disconnect_wall_ms\": {:.2}, \"disconnect_ci95\": {:.2}, ",
-            "\"socket_overhead\": {:.2}, \"slo_within_{}x_median_bp\": {}, ",
-            "\"servers\": {}, \"requests_per_server\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.in_process.wall_ms,
-        cost.in_process.wall_ms_ci95,
-        cost.socket.wall_ms,
-        cost.socket.wall_ms_ci95,
-        cost.slow_loris.wall_ms,
-        cost.slow_loris.wall_ms_ci95,
-        cost.disconnect.wall_ms,
-        cost.disconnect.wall_ms_ci95,
-        cost.socket_overhead(),
-        CONN_SLO_K,
-        cost.slo_within_bp,
-        cost.servers,
-        cost.requests,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `conn_cost_runs` rows from an existing record (empty
-/// when the record predates the section).
-pub fn extract_conn_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "conn_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `conn_cost_runs` array.
-/// A record that predates the section gains one, inserted just before
-/// `mode_sweep_runs`.
-pub fn append_conn_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"conn_cost_runs\": [") {
-        let mut rows = extract_conn_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "conn_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor conn_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"conn_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
+    TrajectoryRow::new("conn_cost", metrics, tier_lookup_config(spec), identity)
 }
 
 fn json_escape(s: &str) -> String {
@@ -2069,34 +1743,18 @@ fn stress_row_json(row: &StressRow) -> String {
     )
 }
 
-/// Renders the whole benchmark record. (One positional argument per
-/// top-level record section, in file order — a parameter struct would
-/// just restate the same list.)
-#[allow(clippy::too_many_arguments)]
-pub fn render_farm_json(
-    reports: &[FarmReport],
-    scaling: &[ScalingRow],
-    boot: &BootCost,
-    stress: &[StressRow],
-    churn: &UnitChurn,
-    restart_cost_runs: &[String],
-    dispatch_cost_runs: &[String],
-    native_cost_runs: &[String],
-    access_cost_runs: &[String],
-    mem_cost_runs: &[String],
-    conn_cost_runs: &[String],
-    mode_sweep_runs: &[String],
-) -> String {
+/// Renders the whole benchmark record.
+pub fn render_farm_json(record: &FarmRecord) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"farm\",\n  \"reports\": [\n");
-    for (i, r) in reports.iter().enumerate() {
+    for (i, r) in record.reports.iter().enumerate() {
         out.push_str(&report_json(r));
-        if i + 1 < reports.len() {
+        if i + 1 < record.reports.len() {
             out.push(',');
         }
         out.push('\n');
     }
     out.push_str("  ],\n  \"thread_scaling\": [\n");
-    for (i, row) in scaling.iter().enumerate() {
+    for (i, row) in record.scaling.iter().enumerate() {
         out.push_str(&format!(
             concat!(
                 "    {{\"threads\": {}, \"host_wall_ms\": {:.2}, ",
@@ -2104,11 +1762,12 @@ pub fn render_farm_json(
             ),
             row.threads, row.wall_ms, row.wall_ms_ci95, row.host_rps, row.reps
         ));
-        if i + 1 < scaling.len() {
+        if i + 1 < record.scaling.len() {
             out.push(',');
         }
         out.push('\n');
     }
+    let boot = &record.boot;
     out.push_str(&format!(
         concat!(
             "  ],\n  \"boot_cost\": {{\"cold_compile_boot_ns\": {:.0}, ",
@@ -2122,129 +1781,10 @@ pub fn render_farm_json(
         boot.speedup(),
         boot.reps,
     ));
-    // The restart-cost trajectory: checkpoint-restore vs cold
-    // boot+replay plus the manufactured-loop violation throughput, one
-    // row per recorded measurement (regeneration appends, never drops).
-    if restart_cost_runs.is_empty() {
-        out.push_str("  \"restart_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"restart_cost_runs\": [\n");
-        for (i, row) in restart_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < restart_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The dispatch-cost trajectory: baseline vs superinstruction tier
-    // interpretation rate on the manufactured loop, one row per
-    // recorded measurement (the dispatch_cost bin upserts by
-    // fingerprint).
-    if dispatch_cost_runs.is_empty() {
-        out.push_str("  \"dispatch_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"dispatch_cost_runs\": [\n");
-        for (i, row) in dispatch_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < dispatch_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The native_cost trajectory: per-tier interpretation rate on the
-    // violation-free dispatch-bound loop, one row per recorded
-    // measurement (the native_cost bin upserts by fingerprint).
-    if native_cost_runs.is_empty() {
-        out.push_str("  \"native_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"native_cost_runs\": [\n");
-        for (i, row) in native_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < native_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The access-cost trajectory: in-bounds access rate under the page
-    // map versus the direct table search, one row per recorded
-    // measurement (the access_cost bin upserts by fingerprint).
-    if access_cost_runs.is_empty() {
-        out.push_str("  \"access_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"access_cost_runs\": [\n");
-        for (i, row) in access_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < access_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The mem_cost trajectory: per-tier interpretation rate on the
-    // guest copy loop — the memory-spanning block executor's gate —
-    // one row per recorded measurement (the access_cost bin upserts by
-    // fingerprint under the native tier).
-    if mem_cost_runs.is_empty() {
-        out.push_str("  \"mem_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"mem_cost_runs\": [\n");
-        for (i, row) in mem_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < mem_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The conn_cost trajectory: the socket edge's transport overhead
-    // per scenario plus the connection-level SLO, one row per recorded
-    // measurement (the conn_cost bin upserts by fingerprint).
-    if conn_cost_runs.is_empty() {
-        out.push_str("  \"conn_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"conn_cost_runs\": [\n");
-        for (i, row) in conn_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < conn_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The mode_sweep cost trajectory: one row per recorded full-grid
-    // sweep, appended by the mode_sweep bin and carried forward by the
-    // regenerating bins.
-    if mode_sweep_runs.is_empty() {
-        out.push_str("  \"mode_sweep_runs\": [],\n");
-    } else {
-        out.push_str("  \"mode_sweep_runs\": [\n");
-        for (i, row) in mode_sweep_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < mode_sweep_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
+    out.push_str(&record.trajectories.render());
     // The scale-out stress point: per-backend rows plus the arena-vs-seed
     // unit-store churn measurement.
+    let stress = &record.stress;
     if let Some(first) = stress.first() {
         let c = &first.report.config;
         out.push_str(&format!(
@@ -2268,6 +1808,7 @@ pub fn render_farm_json(
     } else {
         out.push_str("  \"farm_stress\": {\n    \"rows\": [],\n");
     }
+    let churn = &record.churn;
     out.push_str(&format!(
         concat!(
             "    \"unit_churn\": {{\"machines\": {}, \"arena_ns\": {:.0}, ",
@@ -2289,6 +1830,195 @@ pub fn render_farm_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rate(minstr_per_s: f64, minstr_ci95: f64, instrs: u64) -> ViolationThroughput {
+        ViolationThroughput {
+            minstr_per_s,
+            minstr_ci95,
+            instrs,
+            reps: 24,
+        }
+    }
+
+    /// One row per trajectory section, in [`TRAJECTORY_SECTIONS`] order,
+    /// from fixed inputs on the default configuration.
+    fn sample_rows() -> Vec<TrajectoryRow> {
+        let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
+        let restart = RestartCost {
+            cold_ns: 608620.4,
+            cold_ci95_ns: 11604.6,
+            restore_ns: 160841.25,
+            restore_ci95_ns: 5969.5,
+            reps: 24,
+        };
+        let violation = ViolationThroughput {
+            reps: 3,
+            ..rate(136.66, 3.04, 2100015)
+        };
+        // Distinct per-tier instruction counts pin which tier each row's
+        // `instrs` reports.
+        let rates = TierRates {
+            baseline: rate(131.24, 7.06, 2088021),
+            fused: rate(230.45, 7.81, 2088020),
+            native: rate(526.61, 8.24, 2088022),
+            reps: 24,
+        };
+        let access = AccessCost {
+            table: AccessRate {
+                maccess_per_s: 34.31,
+                maccess_ci95: 0.64,
+            },
+            paged: AccessRate {
+                maccess_per_s: 85.02,
+                maccess_ci95: 2.18,
+            },
+            accesses: 73728,
+            reps: 24,
+        };
+        let edge = |wall_ms, wall_ms_ci95| ConnEdgeRate {
+            wall_ms,
+            wall_ms_ci95,
+            host_rps: 30_000.0,
+        };
+        let conn = ConnCost {
+            in_process: edge(48.664, 6.137),
+            socket: edge(61.409, 3.881),
+            slow_loris: edge(50.1, 2.51),
+            disconnect: edge(47.2, 2.26),
+            slo_within_bp: 9062,
+            servers: 32,
+            requests: 50,
+            reps: 12,
+        };
+        vec![
+            restart_cost_row(&restart, &violation, &spec),
+            tier_rates_row(&DISPATCH_LOOP, &rates),
+            access_cost_row(&access),
+            tier_rates_row(&NATIVE_LOOP, &rates),
+            tier_rates_row(&MEM_LOOP, &rates),
+            conn_cost_row(&conn, &spec),
+            mode_sweep_row(150, 0, 17, 4, 438298.64, &spec, &Edge::default()),
+        ]
+    }
+
+    #[test]
+    fn rows_render_the_historical_bytes() {
+        // The literals are what the per-section renderers this schema
+        // replaced produced for the same inputs; the config members
+        // before "fingerprint" are the only addition.
+        let golden = [
+            r#"{"cold_boot_replay_ns": 608620, "cold_ci95_ns": 11605, "checkpoint_restore_ns": 160841, "restore_ci95_ns": 5970, "speedup": 3.8, "reps": 24, "violation_minstr_per_s": 136.7, "violation_minstr_ci95": 3.0, "violation_instrs": 2100015, "tier": "native", "lookup": "paged", "table": "splay", "fingerprint": "fp-golden"}"#,
+            r#"{"baseline_minstr_per_s": 131.2, "baseline_minstr_ci95": 7.1, "super_minstr_per_s": 230.4, "super_minstr_ci95": 7.8, "native_minstr_per_s": 526.6, "native_minstr_ci95": 8.2, "speedup": 1.76, "native_speedup": 4.01, "instrs": 2088020, "reps": 24, "fingerprint": "fp-golden"}"#,
+            r#"{"table_maccess_per_s": 34.3, "table_maccess_ci95": 0.6, "paged_maccess_per_s": 85.0, "paged_maccess_ci95": 2.2, "speedup": 2.48, "accesses": 73728, "reps": 24, "fingerprint": "fp-golden"}"#,
+            r#"{"baseline_minstr_per_s": 131.2, "baseline_minstr_ci95": 7.1, "super_minstr_per_s": 230.4, "super_minstr_ci95": 7.8, "native_minstr_per_s": 526.6, "native_minstr_ci95": 8.2, "speedup_over_super": 2.29, "speedup_over_baseline": 4.01, "instrs": 2088022, "reps": 24, "fingerprint": "fp-golden"}"#,
+            r#"{"baseline_minstr_per_s": 131.2, "baseline_minstr_ci95": 7.1, "super_minstr_per_s": 230.4, "super_minstr_ci95": 7.8, "native_minstr_per_s": 526.6, "native_minstr_ci95": 8.2, "speedup_over_super": 2.29, "speedup_over_baseline": 4.01, "instrs": 2088022, "reps": 24, "fingerprint": "fp-golden"}"#,
+            r#"{"in_process_wall_ms": 48.66, "in_process_ci95": 6.14, "socket_wall_ms": 61.41, "socket_ci95": 3.88, "slow_loris_wall_ms": 50.10, "slow_loris_ci95": 2.51, "disconnect_wall_ms": 47.20, "disconnect_ci95": 2.26, "socket_overhead": 1.26, "slo_within_4x_median_bp": 9062, "servers": 32, "requests_per_server": 50, "reps": 12, "tier": "native", "lookup": "paged", "fingerprint": "fp-golden"}"#,
+            r#"{"cells": 150, "resumed_cells": 0, "inputs": 17, "threads": 4, "wall_ms": 438298.6, "tier": "native", "lookup": "paged", "edge": "in-process", "fingerprint": "fp-golden"}"#,
+        ];
+        let rows = sample_rows();
+        assert_eq!(rows.len(), golden.len());
+        for ((row, want), section) in rows.into_iter().zip(golden).zip(TRAJECTORY_SECTIONS) {
+            assert_eq!(row.section, section, "sample rows follow section order");
+            let row = TrajectoryRow {
+                fingerprint: "fp-golden".to_string(),
+                ..row
+            };
+            assert_eq!(row.render(), want, "{section} row bytes changed");
+        }
+    }
+
+    /// The trajectory block of a record in the committed file's shape:
+    /// fingerprint-less legacy rows, an empty section, multi-row
+    /// sections.
+    const RECORDED_TRAJECTORIES: &str = concat!(
+        "  \"restart_cost_runs\": [\n",
+        "    {\"cold_boot_replay_ns\": 936113, \"speedup\": 6.0, \"reps\": 24},\n",
+        "    {\"cold_boot_replay_ns\": 608620, \"speedup\": 3.8, \"reps\": 24, \"fingerprint\": \"d18f9f8cc0878cab\"}\n",
+        "  ],\n",
+        "  \"dispatch_cost_runs\": [\n",
+        "    {\"baseline_minstr_per_s\": 138.7, \"speedup\": 1.68, \"fingerprint\": \"524549b67a7ae861\"},\n",
+        "    {\"baseline_minstr_per_s\": 131.2, \"speedup\": 1.76, \"fingerprint\": \"1277b8e158d0a397\"}\n",
+        "  ],\n",
+        "  \"access_cost_runs\": [\n",
+        "    {\"table_maccess_per_s\": 34.3, \"speedup\": 2.47, \"fingerprint\": \"e9398117a0625b7e\"}\n",
+        "  ],\n",
+        "  \"native_cost_runs\": [],\n",
+        "  \"mem_cost_runs\": [\n",
+        "    {\"baseline_minstr_per_s\": 114.4, \"fingerprint\": \"9ff90b59f560924a\"}\n",
+        "  ],\n",
+        "  \"conn_cost_runs\": [\n",
+        "    {\"in_process_wall_ms\": 48.66, \"socket_overhead\": 1.26, \"fingerprint\": \"779fa506622dded8\"}\n",
+        "  ],\n",
+        "  \"mode_sweep_runs\": [\n",
+        "    {\"cells\": 150, \"resumed_cells\": 0, \"inputs\": 17, \"threads\": 4, \"wall_ms\": 438298.6}\n",
+        "  ],\n",
+    );
+
+    #[test]
+    fn recorded_trajectories_round_trip_byte_for_byte() {
+        let record = format!(
+            "{{\n  \"benchmark\": \"farm\",\n  \"boot_cost\": {{\"reps\": 24}},\n{RECORDED_TRAJECTORIES}  \"farm_stress\": {{}}\n}}\n"
+        );
+        let carried = Trajectories::carried_from(&record);
+        assert_eq!(carried.render(), RECORDED_TRAJECTORIES);
+        assert_eq!(check_carried(&record, &record), Ok(8));
+        // The regeneration gate catches a section moved out of the
+        // declared order or re-laid-out.
+        let access = "  \"access_cost_runs\": [\n    {\"table_maccess_per_s\": 34.3, \"speedup\": 2.47, \"fingerprint\": \"e9398117a0625b7e\"}\n  ],\n";
+        let native = "  \"native_cost_runs\": [],\n";
+        let swapped = record.replace(&format!("{access}{native}"), &format!("{native}{access}"));
+        assert_ne!(swapped, record);
+        assert!(check_carried(&swapped, &record).is_err());
+        let relaid = record.replace("    {\"table_maccess", "  {\"table_maccess");
+        assert!(check_carried(&relaid, &record).is_err());
+        assert_eq!(carried.rows("restart_cost").len(), 2);
+        assert!(carried.rows("native_cost").is_empty());
+        // Upserting an existing fingerprint replaces that row in place
+        // and leaves every other byte alone.
+        let fresh = r#"{"baseline_minstr_per_s": 140.0, "fingerprint": "524549b67a7ae861"}"#;
+        let replaced = upsert_trajectory_row(&record, "dispatch_cost", fresh).expect("upsert");
+        assert_eq!(
+            replaced,
+            record.replace(
+                r#"{"baseline_minstr_per_s": 138.7, "speedup": 1.68, "fingerprint": "524549b67a7ae861"}"#,
+                fresh
+            )
+        );
+        // A new fingerprint appends; a fingerprint-less legacy row is
+        // never matched.
+        for section in TRAJECTORY_SECTIONS {
+            let before = trajectory_rows(&record, section);
+            let row = format!("{{\"reps\": 1, \"fingerprint\": \"fp-new-{section}\"}}");
+            let grown = upsert_trajectory_row(&record, section, &row).expect("append");
+            let mut want = before.clone();
+            want.push(row);
+            assert_eq!(trajectory_rows(&grown, section), want, "{section}");
+            for other in TRAJECTORY_SECTIONS.iter().filter(|s| **s != section) {
+                assert_eq!(
+                    trajectory_rows(&grown, other),
+                    trajectory_rows(&record, other),
+                    "growing {section} must not disturb {other}"
+                );
+            }
+        }
+        // A record missing a section gains it just before
+        // mode_sweep_runs; a record without that anchor is refused.
+        let old = record.replace(
+            "  \"conn_cost_runs\": [\n    {\"in_process_wall_ms\": 48.66, \"socket_overhead\": 1.26, \"fingerprint\": \"779fa506622dded8\"}\n  ],\n",
+            "",
+        );
+        assert!(trajectory_rows(&old, "conn_cost").is_empty());
+        let row = r#"{"reps": 12, "fingerprint": "fp-conn"}"#;
+        let created = upsert_trajectory_row(&old, "conn_cost", row).expect("create section");
+        assert!(created.contains(&format!(
+            "  \"conn_cost_runs\": [\n    {row}\n  ],\n  \"mode_sweep_runs\": ["
+        )));
+        assert_eq!(
+            Trajectories::carried_from(&created).rows("mode_sweep"),
+            carried.rows("mode_sweep")
+        );
+        assert!(upsert_trajectory_row("{\n}\n", "conn_cost", row).is_err());
+    }
 
     #[test]
     fn json_renders_and_balances() {
@@ -2330,114 +2060,20 @@ mod tests {
         )
         .expect("contract");
         let churn = measure_unit_churn(4, 2);
-        let restart = RestartCost {
-            cold_ns: 500_000.0,
-            cold_ci95_ns: 2_000.0,
-            restore_ns: 50_000.0,
-            restore_ci95_ns: 500.0,
-            reps: 8,
+        let rows = sample_rows();
+        let mut trajectories = Trajectories::carried_from("");
+        for row in &rows {
+            trajectories.upsert(row);
+        }
+        let record = FarmRecord {
+            reports,
+            scaling,
+            boot,
+            stress,
+            churn,
+            trajectories,
         };
-        let violation = ViolationThroughput {
-            minstr_per_s: 30.0,
-            minstr_ci95: 1.0,
-            instrs: 1_000_000,
-            reps: 3,
-        };
-        let restart_rows = vec![restart_cost_row_json(&restart, &violation, "fp-restart-1")];
-        let dispatch = DispatchCost {
-            baseline: violation,
-            fused: ViolationThroughput {
-                minstr_per_s: 60.0,
-                minstr_ci95: 2.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            native: ViolationThroughput {
-                minstr_per_s: 90.0,
-                minstr_ci95: 2.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            reps: 3,
-        };
-        let dispatch_rows = vec![dispatch_cost_row_json(&dispatch, "fp-dispatch-1")];
-        let native_cost = NativeCost {
-            baseline: dispatch.baseline,
-            fused: dispatch.fused,
-            native: ViolationThroughput {
-                minstr_per_s: 150.0,
-                minstr_ci95: 3.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            reps: 3,
-        };
-        let native_rows = vec![native_cost_row_json(&native_cost, "fp-native-1")];
-        let access = AccessCost {
-            table: AccessRate {
-                maccess_per_s: 10.0,
-                maccess_ci95: 0.5,
-            },
-            paged: AccessRate {
-                maccess_per_s: 25.0,
-                maccess_ci95: 0.5,
-            },
-            accesses: 73_728,
-            reps: 3,
-        };
-        let access_rows = vec![access_cost_row_json(&access, "fp-access-1")];
-        let mem_cost = NativeCost {
-            baseline: dispatch.baseline,
-            fused: dispatch.fused,
-            native: ViolationThroughput {
-                minstr_per_s: 120.0,
-                minstr_ci95: 3.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            reps: 3,
-        };
-        let mem_rows = vec![mem_cost_row_json(&mem_cost, "fp-mem-1")];
-        let edge_rate = ConnEdgeRate {
-            wall_ms: 10.0,
-            wall_ms_ci95: 0.5,
-            host_rps: 160_000.0,
-        };
-        let conn = ConnCost {
-            in_process: edge_rate,
-            socket: ConnEdgeRate {
-                wall_ms: 12.0,
-                ..edge_rate
-            },
-            slow_loris: ConnEdgeRate {
-                wall_ms: 15.0,
-                ..edge_rate
-            },
-            disconnect: ConnEdgeRate {
-                wall_ms: 14.0,
-                ..edge_rate
-            },
-            slo_within_bp: 9_250,
-            servers: 32,
-            requests: 50,
-            reps: 3,
-        };
-        let conn_rows = vec![conn_cost_row_json(&conn, "fp-conn-1")];
-        let rows = vec![mode_sweep_row_json(150, 0, 17, 4, 1234.5, "fp-sweep-1")];
-        let json = render_farm_json(
-            &reports,
-            &scaling,
-            &boot,
-            &stress,
-            &churn,
-            &restart_rows,
-            &dispatch_rows,
-            &native_rows,
-            &access_rows,
-            &mem_rows,
-            &conn_rows,
-            &rows,
-        );
+        let json = render_farm_json(&record);
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),
@@ -2455,118 +2091,8 @@ mod tests {
         assert!(json.contains("\"boot_cost\""));
         assert!(json.contains("\"speedup\": 20.0"));
         assert!(json.contains("\"farm_stress\""));
-        assert!(json.contains("\"mode_sweep_runs\""));
-        assert!(json.contains("\"resumed_cells\": 0"));
-        assert!(json.contains("\"restart_cost_runs\""));
-        assert!(json.contains("\"checkpoint_restore_ns\""));
-        assert!(json.contains("\"violation_minstr_per_s\""));
-        assert!(json.contains("\"dispatch_cost_runs\""));
-        assert!(json.contains("\"baseline_minstr_per_s\""));
-        assert!(json.contains("\"native_cost_runs\""));
-        assert!(json.contains("\"speedup_over_super\": 2.50"));
-        assert!(json.contains("\"native_speedup\": 3.00"));
-        assert!(json.contains("\"access_cost_runs\""));
-        assert!(json.contains("\"paged_maccess_per_s\""));
-        assert!(json.contains("\"mem_cost_runs\""));
-        assert!(json.contains("\"speedup_over_super\": 2.00"));
-        assert!(json.contains("\"conn_cost_runs\""));
-        assert!(json.contains("\"socket_overhead\": 1.20"));
-        assert!(json.contains("\"slo_within_4x_median_bp\": 9250"));
         assert!(json.contains("\"lookup\": \"table\""));
         assert!(json.contains("\"lookup\": \"paged\""));
-        // Round trip: extract the rows back and append another (a new
-        // fingerprint grows the array).
-        assert_eq!(extract_restart_cost_rows(&json), restart_rows);
-        let grown = append_restart_cost_row(
-            &json,
-            &restart_cost_row_json(&restart, &violation, "fp-restart-2"),
-        )
-        .expect("append restart row");
-        assert_eq!(extract_restart_cost_rows(&grown).len(), 2);
-        assert_eq!(
-            extract_mode_sweep_rows(&grown),
-            rows,
-            "growing one trajectory must not disturb the other"
-        );
-        // Re-appending an existing fingerprint replaces in place: the
-        // bins are idempotent over unchanged trees.
-        let replaced = append_restart_cost_row(
-            &grown,
-            &restart_cost_row_json(&restart, &violation, "fp-restart-2"),
-        )
-        .expect("upsert restart row");
-        assert_eq!(extract_restart_cost_rows(&replaced).len(), 2);
-        assert_eq!(extract_mode_sweep_rows(&json), rows);
-        let appended = append_mode_sweep_row(
-            &json,
-            &mode_sweep_row_json(150, 120, 17, 4, 99.0, "fp-sweep-2"),
-        )
-        .expect("append");
-        assert_eq!(extract_mode_sweep_rows(&appended).len(), 2);
-        let resweep = append_mode_sweep_row(
-            &appended,
-            &mode_sweep_row_json(150, 120, 17, 4, 101.0, "fp-sweep-2"),
-        )
-        .expect("upsert");
-        let resweep_rows = extract_mode_sweep_rows(&resweep);
-        assert_eq!(
-            resweep_rows.len(),
-            2,
-            "same fingerprint must not grow the array"
-        );
-        assert!(
-            resweep_rows[1].contains("\"wall_ms\": 101.0"),
-            "upsert takes the fresh value"
-        );
-        let dgrown =
-            append_dispatch_cost_row(&json, &dispatch_cost_row_json(&dispatch, "fp-dispatch-2"))
-                .expect("append dispatch row");
-        assert_eq!(extract_dispatch_cost_rows(&dgrown).len(), 2);
-        assert_eq!(extract_native_cost_rows(&json), native_rows);
-        let ngrown =
-            append_native_cost_row(&json, &native_cost_row_json(&native_cost, "fp-native-2"))
-                .expect("append native row");
-        assert_eq!(extract_native_cost_rows(&ngrown).len(), 2);
-        let nsame =
-            append_native_cost_row(&ngrown, &native_cost_row_json(&native_cost, "fp-native-2"))
-                .expect("upsert native row");
-        assert_eq!(extract_native_cost_rows(&nsame).len(), 2);
-        assert_eq!(extract_access_cost_rows(&json), access_rows);
-        let agrown = append_access_cost_row(&json, &access_cost_row_json(&access, "fp-access-2"))
-            .expect("append access row");
-        assert_eq!(extract_access_cost_rows(&agrown).len(), 2);
-        let asame = append_access_cost_row(&agrown, &access_cost_row_json(&access, "fp-access-2"))
-            .expect("upsert access row");
-        assert_eq!(extract_access_cost_rows(&asame).len(), 2);
-        assert_eq!(extract_mem_cost_rows(&json), mem_rows);
-        let mgrown = append_mem_cost_row(&json, &mem_cost_row_json(&mem_cost, "fp-mem-2"))
-            .expect("append mem row");
-        assert_eq!(extract_mem_cost_rows(&mgrown).len(), 2);
-        let msame = append_mem_cost_row(&mgrown, &mem_cost_row_json(&mem_cost, "fp-mem-2"))
-            .expect("upsert mem row");
-        assert_eq!(extract_mem_cost_rows(&msame).len(), 2);
-        assert_eq!(extract_conn_cost_rows(&json), conn_rows);
-        let cgrown = append_conn_cost_row(&json, &conn_cost_row_json(&conn, "fp-conn-2"))
-            .expect("append conn row");
-        assert_eq!(extract_conn_cost_rows(&cgrown).len(), 2);
-        let csame = append_conn_cost_row(&cgrown, &conn_cost_row_json(&conn, "fp-conn-2"))
-            .expect("upsert conn row");
-        assert_eq!(extract_conn_cost_rows(&csame).len(), 2);
-        assert_eq!(
-            extract_mode_sweep_rows(&cgrown),
-            rows,
-            "growing conn_cost_runs must not disturb the sweep trajectory"
-        );
-        assert_eq!(
-            extract_mode_sweep_rows(&mgrown),
-            rows,
-            "growing mem_cost_runs must not disturb the sweep trajectory"
-        );
-        assert_eq!(
-            appended.matches('{').count(),
-            appended.matches('}').count(),
-            "appended record must stay balanced"
-        );
         for backend in foc_memory::TableKind::ALL {
             assert!(
                 json.contains(&format!("\"backend\": \"{}\"", backend.name())),
@@ -2576,6 +2102,51 @@ mod tests {
         assert!(json.contains("\"service_hist\": [["));
         assert!(json.contains("\"unit_churn\""));
         assert!(json.contains("\"arena_speedup\""));
+        // Sections render in the one declared order, each holding its
+        // row; a re-render of the carried record is byte-identical.
+        let mut at = 0;
+        for row in &rows {
+            let marker = format!("\"{}_runs\": [", row.section);
+            let pos = json.find(&marker).expect("every section renders");
+            assert!(pos > at, "{} out of order", row.section);
+            at = pos;
+            assert_eq!(trajectory_rows(&json, row.section), vec![row.render()]);
+        }
+        assert_eq!(Trajectories::carried_from(&json), record.trajectories);
+        // Per section: a fresh fingerprint grows the array, the same
+        // fingerprint replaces in place with the fresh value, and no
+        // other section moves.
+        for row in &rows {
+            let section = row.section;
+            let fresh = TrajectoryRow {
+                fingerprint: format!("{}-2", row.fingerprint),
+                ..row.clone()
+            };
+            let grown = upsert_trajectory_row(&json, section, &fresh.render()).expect("append");
+            assert_eq!(trajectory_rows(&grown, section).len(), 2, "{section}");
+            let mut remeasured = fresh.clone();
+            remeasured.metrics[0].1 = "0.5".to_string();
+            let replaced =
+                upsert_trajectory_row(&grown, section, &remeasured.render()).expect("upsert");
+            assert_eq!(
+                trajectory_rows(&replaced, section),
+                vec![row.render(), remeasured.render()],
+                "same fingerprint must replace in place: {section}"
+            );
+            for other in rows.iter().filter(|o| o.section != section) {
+                assert_eq!(
+                    trajectory_rows(&replaced, other.section),
+                    vec![other.render()],
+                    "growing {section} must not disturb {}",
+                    other.section
+                );
+            }
+            assert_eq!(
+                replaced.matches('{').count(),
+                replaced.matches('}').count(),
+                "upserted record must stay balanced"
+            );
+        }
     }
 
     #[test]
@@ -2686,135 +2257,174 @@ mod tests {
 
     #[test]
     fn restart_cost_section_is_created_in_old_records() {
-        // A record rendered before the checkpoint layer (no
-        // restart_cost_runs section) gains one on append.
-        let old = concat!(
+        // A record rendered before any trajectory section existed gains
+        // each one on upsert, in front of mode_sweep_runs.
+        let mut json = concat!(
             "{\n  \"benchmark\": \"farm\",\n",
             "  \"mode_sweep_runs\": [\n",
             "    {\"cells\": 150}\n",
             "  ],\n}\n"
-        );
-        let restart = RestartCost {
-            cold_ns: 10.0,
-            cold_ci95_ns: 0.0,
-            restore_ns: 1.0,
-            restore_ci95_ns: 0.0,
-            reps: 1,
-        };
-        let violation = ViolationThroughput {
-            minstr_per_s: 1.0,
-            minstr_ci95: 0.0,
-            instrs: 1,
-            reps: 1,
-        };
-        let row = restart_cost_row_json(&restart, &violation, "fp-old-1");
-        let grown = append_restart_cost_row(old, &row).expect("create section");
-        assert_eq!(extract_restart_cost_rows(&grown), vec![row.clone()]);
-        assert_eq!(extract_mode_sweep_rows(&grown).len(), 1);
-        // Re-appending the same fingerprint upserts in place; a fresh
-        // fingerprint extends the now-existing section.
-        let same = append_restart_cost_row(&grown, &row).expect("upsert");
-        assert_eq!(extract_restart_cost_rows(&same).len(), 1);
-        let row2 = restart_cost_row_json(&restart, &violation, "fp-old-2");
-        let grown2 = append_restart_cost_row(&grown, &row2).expect("append");
-        assert_eq!(extract_restart_cost_rows(&grown2).len(), 2);
-        // dispatch_cost_runs gains a section in old records the same way.
-        let drow = dispatch_cost_row_json(
-            &DispatchCost {
-                baseline: violation,
-                fused: violation,
-                native: violation,
-                reps: 1,
-            },
-            "fp-old-d1",
-        );
-        let dgrown = append_dispatch_cost_row(&grown2, &drow).expect("create dispatch section");
-        assert_eq!(extract_dispatch_cost_rows(&dgrown), vec![drow.clone()]);
-        assert_eq!(extract_restart_cost_rows(&dgrown).len(), 2);
-        assert_eq!(extract_mode_sweep_rows(&dgrown).len(), 1);
-        let dsame = append_dispatch_cost_row(&dgrown, &drow).expect("upsert dispatch");
-        assert_eq!(extract_dispatch_cost_rows(&dsame).len(), 1);
-        // ... and native_cost_runs.
-        let nrow = native_cost_row_json(
-            &NativeCost {
-                baseline: violation,
-                fused: violation,
-                native: violation,
-                reps: 1,
-            },
-            "fp-old-n1",
-        );
-        let ngrown = append_native_cost_row(&dsame, &nrow).expect("create native section");
-        assert_eq!(extract_native_cost_rows(&ngrown), vec![nrow.clone()]);
-        assert_eq!(extract_dispatch_cost_rows(&ngrown).len(), 1);
-        let nsame = append_native_cost_row(&ngrown, &nrow).expect("upsert native");
-        assert_eq!(extract_native_cost_rows(&nsame).len(), 1);
-        // ... and mem_cost_runs.
-        let mrow = mem_cost_row_json(
-            &NativeCost {
-                baseline: violation,
-                fused: violation,
-                native: violation,
-                reps: 1,
-            },
-            "fp-old-m1",
-        );
-        let mgrown = append_mem_cost_row(&nsame, &mrow).expect("create mem section");
-        assert_eq!(extract_mem_cost_rows(&mgrown), vec![mrow.clone()]);
-        assert_eq!(extract_native_cost_rows(&mgrown).len(), 1);
-        assert_eq!(extract_mode_sweep_rows(&mgrown).len(), 1);
-        let msame = append_mem_cost_row(&mgrown, &mrow).expect("upsert mem");
-        assert_eq!(extract_mem_cost_rows(&msame).len(), 1);
+        )
+        .to_string();
+        let rows = sample_rows();
+        for row in &rows[..rows.len() - 1] {
+            json = upsert_trajectory_row(&json, row.section, &row.render())
+                .unwrap_or_else(|e| panic!("create {}: {e}", row.section));
+            assert_eq!(trajectory_rows(&json, row.section), vec![row.render()]);
+            assert_eq!(trajectory_rows(&json, "mode_sweep").len(), 1);
+            // Re-upserting the same fingerprint leaves one row.
+            json = upsert_trajectory_row(&json, row.section, &row.render()).expect("upsert");
+            assert_eq!(trajectory_rows(&json, row.section).len(), 1);
+        }
+        // The created sections keep their creation order, all of them
+        // ahead of the anchor.
+        let anchor = json.find("\"mode_sweep_runs\"").expect("anchor kept");
+        let mut at = 0;
+        for row in &rows[..rows.len() - 1] {
+            let pos = json.find(&format!("\"{}_runs\"", row.section)).unwrap();
+            assert!(at < pos && pos < anchor, "{} misplaced", row.section);
+            at = pos;
+        }
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn fingerprints_are_stable_and_shape_sensitive() {
         // Identical inputs reproduce the fingerprint (idempotent
         // reruns); any shape change reshapes it (fresh trajectory row).
-        assert_eq!(dispatch_cost_fingerprint(8), dispatch_cost_fingerprint(8));
-        assert_ne!(dispatch_cost_fingerprint(8), dispatch_cost_fingerprint(24));
-        assert_eq!(
-            mode_sweep_fingerprint(150, 17, 4, ExecTier::default()),
-            mode_sweep_fingerprint(150, 17, 4, ExecTier::default())
+        let rows = sample_rows();
+        assert_eq!(rows, sample_rows());
+        let fps: std::collections::BTreeSet<_> = rows.iter().map(|r| &r.fingerprint).collect();
+        assert_eq!(fps.len(), rows.len(), "no two sections collide");
+        let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
+        let rates = |reps| TierRates {
+            baseline: rate(1.0, 0.0, 1),
+            fused: rate(1.0, 0.0, 1),
+            native: rate(1.0, 0.0, 1),
+            reps,
+        };
+        for bench in [DISPATCH_LOOP, NATIVE_LOOP, MEM_LOOP] {
+            assert_ne!(
+                tier_rates_row(&bench, &rates(8)).fingerprint,
+                tier_rates_row(&bench, &rates(24)).fingerprint
+            );
+        }
+        let sweep = mode_sweep_row(150, 0, 17, 4, 1.0, &spec, &Edge::default()).fingerprint;
+        assert_ne!(
+            sweep,
+            mode_sweep_row(150, 0, 17, 8, 1.0, &spec, &Edge::default()).fingerprint
         );
         assert_ne!(
-            mode_sweep_fingerprint(150, 17, 4, ExecTier::default()),
-            mode_sweep_fingerprint(150, 17, 8, ExecTier::default())
-        );
-        assert_eq!(
-            restart_cost_fingerprint(24, ExecTier::default()),
-            restart_cost_fingerprint(24, ExecTier::default())
-        );
-        assert_ne!(
-            restart_cost_fingerprint(24, ExecTier::default()),
-            restart_cost_fingerprint(8, ExecTier::default())
-        );
-        assert_eq!(access_cost_fingerprint(8), access_cost_fingerprint(8));
-        assert_ne!(access_cost_fingerprint(8), access_cost_fingerprint(24));
-        assert_eq!(native_cost_fingerprint(8), native_cost_fingerprint(8));
-        assert_ne!(native_cost_fingerprint(8), native_cost_fingerprint(24));
-        assert_eq!(mem_cost_fingerprint(8), mem_cost_fingerprint(8));
-        assert_ne!(mem_cost_fingerprint(8), mem_cost_fingerprint(24));
-        assert_eq!(
-            conn_cost_fingerprint(8, ExecTier::default()),
-            conn_cost_fingerprint(8, ExecTier::default())
-        );
-        assert_ne!(
-            conn_cost_fingerprint(8, ExecTier::default()),
-            conn_cost_fingerprint(24, ExecTier::default())
-        );
-        assert_ne!(
-            native_cost_fingerprint(8),
-            dispatch_cost_fingerprint(8),
-            "the two loop benches must never collide"
-        );
-        assert_ne!(
-            mem_cost_fingerprint(8),
-            native_cost_fingerprint(8),
-            "the copy loop and the pure-local loop must never collide"
+            sweep,
+            mode_sweep_row(150, 150, 17, 4, 1.0, &spec, &Edge::default()).fingerprint,
+            "a fully resumed sweep must not replace a full sweep's row"
         );
         // Concatenation ambiguity is broken by the separator.
         assert_ne!(fingerprint_of(&["ab", "c"]), fingerprint_of(&["a", "bc"]));
+    }
+
+    #[test]
+    fn empty_config_fingerprints_keep_their_historical_formula() {
+        // Bins that measure every tier or layer carry no config, so
+        // their fingerprints still hash exactly the historical parts
+        // and their recorded rows stay upsert targets.
+        let rates = TierRates {
+            baseline: rate(1.0, 0.0, 1),
+            fused: rate(1.0, 0.0, 1),
+            native: rate(1.0, 0.0, 1),
+            reps: 24,
+        };
+        for bench in [DISPATCH_LOOP, NATIVE_LOOP, MEM_LOOP] {
+            let mut parts = vec![bench.schema.to_string()];
+            for tier in foc_compiler::ExecTier::ALL {
+                let image = foc_compiler::compile_image_tier(bench.source, tier).unwrap();
+                parts.push(image.id().to_string());
+            }
+            parts.push(bench.iters.to_string());
+            parts.push("24".to_string());
+            assert_eq!(
+                tier_rates_row(&bench, &rates).fingerprint,
+                fingerprint_of(&parts),
+                "{}",
+                bench.section
+            );
+        }
+        let access = AccessCost {
+            table: AccessRate {
+                maccess_per_s: 1.0,
+                maccess_ci95: 0.0,
+            },
+            paged: AccessRate {
+                maccess_per_s: 1.0,
+                maccess_ci95: 0.0,
+            },
+            accesses: 1,
+            reps: 24,
+        };
+        assert_eq!(
+            access_cost_row(&access).fingerprint,
+            fingerprint_of(&["access_cost/v1", "384", "49152", "6", "24"])
+        );
+    }
+
+    #[test]
+    fn fingerprints_name_every_configuration_axis() {
+        // Rows measured under configurations that differ in a single
+        // axis must never replace each other.
+        let rows = sample_rows();
+        let (restart, conn, sweep) = (&rows[0], &rows[5], &rows[6]);
+        let base = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
+        let table_lookup = base.with_lookup(LookupLayer::Table);
+        let flat = base.with_table(TableKind::Flat);
+        let restart_cost = RestartCost {
+            cold_ns: 608620.4,
+            cold_ci95_ns: 11604.6,
+            restore_ns: 160841.25,
+            restore_ci95_ns: 5969.5,
+            reps: 24,
+        };
+        let violation = ViolationThroughput {
+            reps: 3,
+            ..rate(136.66, 3.04, 2100015)
+        };
+        for spec in [&table_lookup, &flat] {
+            assert_ne!(
+                restart_cost_row(&restart_cost, &violation, spec).fingerprint,
+                restart.fingerprint
+            );
+        }
+        let edge = ConnEdgeRate {
+            wall_ms: 1.0,
+            wall_ms_ci95: 0.0,
+            host_rps: 1.0,
+        };
+        let conn_cost = ConnCost {
+            in_process: edge,
+            socket: edge,
+            slow_loris: edge,
+            disconnect: edge,
+            slo_within_bp: 1,
+            servers: 32,
+            requests: 50,
+            reps: 12,
+        };
+        assert_eq!(
+            conn_cost_row(&conn_cost, &base).fingerprint,
+            conn.fingerprint
+        );
+        assert_ne!(
+            conn_cost_row(&conn_cost, &table_lookup).fingerprint,
+            conn.fingerprint
+        );
+        let socket: Edge = "socket".parse().unwrap();
+        assert_ne!(
+            mode_sweep_row(150, 0, 17, 4, 1.0, &table_lookup, &Edge::default()).fingerprint,
+            sweep.fingerprint
+        );
+        assert_ne!(
+            mode_sweep_row(150, 0, 17, 4, 1.0, &base, &socket).fingerprint,
+            sweep.fingerprint
+        );
     }
 
     #[test]
