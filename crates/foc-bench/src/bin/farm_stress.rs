@@ -33,7 +33,7 @@
 
 use foc_bench::check::{check_fail, env_config};
 use foc_bench::farm_report::{
-    measure_record, measure_unit_churn, render_farm_json, stress_sweep, RecordShape,
+    measure_record, measure_unit_churn, render_farm_json, stress_sweep, RecordShape, RECORD_PATH,
 };
 use foc_memory::{LookupLayer, Mode, TableKind};
 use foc_servers::conn::{Edge, EDGE_ENV};
@@ -163,8 +163,7 @@ fn main() {
         }
     }
 
-    let path = "BENCH_farm.json";
-    let previous = std::fs::read_to_string(path).ok();
+    let previous = std::fs::read_to_string(RECORD_PATH).ok();
     let record = match measure_record(&shape, previous.as_deref(), &spec, &edge) {
         Ok(record) => record,
         Err(msg) => check_fail("farm_stress", &msg),
@@ -194,6 +193,6 @@ fn main() {
         record.churn.speedup()
     );
 
-    std::fs::write(path, render_farm_json(&record)).expect("write BENCH_farm.json");
-    println!("wrote {path}");
+    std::fs::write(RECORD_PATH, render_farm_json(&record)).expect("write BENCH_farm.json");
+    println!("wrote {RECORD_PATH}");
 }

@@ -10,7 +10,7 @@
 
 use foc_servers::EnvError;
 
-use crate::farm_report::{upsert_trajectory_row, TrajectoryRow};
+use crate::farm_report::{upsert_trajectory_row, TrajectoryRow, RECORD_PATH};
 
 /// Gates `ratio` against the `min` floor. `name` describes the measured
 /// quantity ("superinstruction tier over baseline interpretation
@@ -64,16 +64,15 @@ pub fn env_config<T>(bin: &str, parsed: Result<T, EnvError>) -> T {
 /// Upserts `row` into its section of `BENCH_farm.json`, with the shared
 /// read/write and failure wording (`bin` names the failing binary).
 pub fn record_farm_row(bin: &str, row: &TrajectoryRow) {
-    let path = "BENCH_farm.json";
-    match std::fs::read_to_string(path) {
+    match std::fs::read_to_string(RECORD_PATH) {
         Ok(json) => match upsert_trajectory_row(&json, row.section, &row.render()) {
             Ok(updated) => {
-                std::fs::write(path, updated).expect("write BENCH_farm.json");
-                println!("recorded {} row in {path}", row.section);
+                std::fs::write(RECORD_PATH, updated).expect("write BENCH_farm.json");
+                println!("recorded {} row in {RECORD_PATH}", row.section);
             }
             Err(e) => check_fail(bin, &e),
         },
-        Err(e) => check_fail(bin, &format!("cannot read {path}: {e}")),
+        Err(e) => check_fail(bin, &format!("cannot read {RECORD_PATH}: {e}")),
     }
 }
 

@@ -379,6 +379,10 @@ fn measure_loop_throughput(
 // Tier rates: one guest loop's interpretation rate under every tier.
 // ----------------------------------------------------------------------
 
+/// A headline ratio of a [`TierLoop`] row: its key and the rate ratio
+/// it reports.
+type Headline = (&'static str, fn(&TierRates) -> f64);
+
 /// A guest `spin(n)` loop measured under every execution tier, plus the
 /// trajectory section and fingerprint schema tag its rows go under.
 #[derive(Debug, Clone, Copy)]
@@ -391,6 +395,10 @@ pub struct TierLoop {
     source: &'static str,
     /// `n` per measured run.
     iters: i64,
+    /// The row's two headline ratios, each under its historical key.
+    headlines: [Headline; 2],
+    /// The tier whose retired instruction count the row reports.
+    instrs_tier: ExecTier,
 }
 
 /// The dispatch-cost loop: seven direct-local increment statements,
@@ -422,7 +430,20 @@ pub const DISPATCH_LOOP: TierLoop = TierLoop {
      return acc + t;\n\
  }",
     iters: 29_000,
+    // The headline predates the native tier: super over baseline.
+    headlines: [
+        ("speedup", TierRates::super_over_baseline),
+        ("native_speedup", TierRates::native_over_baseline),
+    ],
+    instrs_tier: ExecTier::Super,
 };
+
+/// The headline of the loops that gate the native tier: native over
+/// super, then native over baseline.
+const NATIVE_HEADLINES: [Headline; 2] = [
+    ("speedup_over_super", TierRates::native_over_super),
+    ("speedup_over_baseline", TierRates::native_over_baseline),
+];
 
 /// The native-cost loop: a dispatch-bound body with *no* memory
 /// violations and no guest heap traffic. The dispatch loop above
@@ -459,6 +480,8 @@ pub const NATIVE_LOOP: TierLoop = TierLoop {
      return t + u;\n\
  }",
     iters: 30_000,
+    headlines: NATIVE_HEADLINES,
+    instrs_tier: ExecTier::Native,
 };
 
 /// The memory-block cost loop: the guest-level twin of the access-cost
@@ -490,6 +513,8 @@ pub const MEM_LOOP: TierLoop = TierLoop {
      return t;\n\
  }",
     iters: 2_000,
+    headlines: NATIVE_HEADLINES,
+    instrs_tier: ExecTier::Native,
 };
 
 /// One [`TierLoop`]'s interpretation rate under every execution tier.
@@ -525,6 +550,15 @@ impl TierRates {
     /// Native-over-baseline rate ratio.
     pub fn native_over_baseline(&self) -> f64 {
         self.native.minstr_per_s / self.baseline.minstr_per_s
+    }
+
+    /// The measurement under `tier`.
+    fn at(&self, tier: ExecTier) -> &ViolationThroughput {
+        match tier {
+            ExecTier::Baseline => &self.baseline,
+            ExecTier::Super => &self.fused,
+            ExecTier::Native => &self.native,
+        }
     }
 }
 
@@ -1066,6 +1100,9 @@ pub const TRAJECTORY_SECTIONS: [&str; 7] = [
     "mode_sweep",
 ];
 
+/// The trajectory record, relative to the working directory.
+pub const RECORD_PATH: &str = "BENCH_farm.json";
+
 /// One measured value: its key and its JSON number, rendered once at
 /// the row's fixed precision.
 pub type Metric = (String, String);
@@ -1348,38 +1385,25 @@ pub fn restart_cost_row(
     )
 }
 
-/// A [`TierLoop`]'s row in its section: the rate under every tier and
-/// two ratios. Keyed by the loop's image under every tier (a lowering
-/// change that reshapes fusion or region extraction re-measures), loop
-/// length and rep count; the config is empty, as every tier is measured.
+/// A [`TierLoop`]'s row in its section: the rate under every tier, the
+/// loop's two headline ratios and its reported instruction count. Keyed
+/// by the loop's image under every tier (a lowering change that
+/// reshapes fusion or region extraction re-measures), loop length and
+/// rep count; the config is empty, as every tier is measured.
 pub fn tier_rates_row(bench: &TierLoop, rates: &TierRates) -> TrajectoryRow {
     let mut metrics = Vec::new();
-    for (tier, m) in [
-        ("baseline", &rates.baseline),
-        ("super", &rates.fused),
-        ("native", &rates.native),
-    ] {
+    for tier in ExecTier::ALL {
+        let (m, tier) = (rates.at(tier), tier.label());
         metrics.push(metric(&format!("{tier}_minstr_per_s"), m.minstr_per_s, 1));
         metrics.push(metric(&format!("{tier}_minstr_ci95"), m.minstr_ci95, 1));
     }
-    // dispatch_cost's headline predates the native tier: super over
-    // baseline. The later loops headline native over super.
-    if bench.section == DISPATCH_LOOP.section {
-        metrics.push(metric("speedup", rates.super_over_baseline(), 2));
-        metrics.push(metric("native_speedup", rates.native_over_baseline(), 2));
-        metrics.push(count("instrs", rates.fused.instrs));
-    } else {
-        metrics.push(metric("speedup_over_super", rates.native_over_super(), 2));
-        metrics.push(metric(
-            "speedup_over_baseline",
-            rates.native_over_baseline(),
-            2,
-        ));
-        metrics.push(count("instrs", rates.native.instrs));
+    for (key, ratio) in bench.headlines {
+        metrics.push(metric(key, ratio(rates), 2));
     }
+    metrics.push(count("instrs", rates.at(bench.instrs_tier).instrs));
     metrics.push(count("reps", rates.reps));
     let mut identity = vec![bench.schema.to_string()];
-    for tier in foc_compiler::ExecTier::ALL {
+    for tier in ExecTier::ALL {
         let image = foc_compiler::compile_image_tier(bench.source, tier).expect("tier loop builds");
         identity.push(image.id().to_string());
     }
@@ -1840,21 +1864,45 @@ mod tests {
         }
     }
 
-    /// One row per trajectory section, in [`TRAJECTORY_SECTIONS`] order,
-    /// from fixed inputs on the default configuration.
-    fn sample_rows() -> Vec<TrajectoryRow> {
-        let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
-        let restart = RestartCost {
+    fn sample_restart() -> RestartCost {
+        RestartCost {
             cold_ns: 608620.4,
             cold_ci95_ns: 11604.6,
             restore_ns: 160841.25,
             restore_ci95_ns: 5969.5,
             reps: 24,
-        };
-        let violation = ViolationThroughput {
+        }
+    }
+
+    fn sample_violation() -> ViolationThroughput {
+        ViolationThroughput {
             reps: 3,
             ..rate(136.66, 3.04, 2100015)
+        }
+    }
+
+    fn sample_conn() -> ConnCost {
+        let edge = |wall_ms, wall_ms_ci95| ConnEdgeRate {
+            wall_ms,
+            wall_ms_ci95,
+            host_rps: 30_000.0,
         };
+        ConnCost {
+            in_process: edge(48.664, 6.137),
+            socket: edge(61.409, 3.881),
+            slow_loris: edge(50.1, 2.51),
+            disconnect: edge(47.2, 2.26),
+            slo_within_bp: 9062,
+            servers: 32,
+            requests: 50,
+            reps: 12,
+        }
+    }
+
+    /// One row per trajectory section, in [`TRAJECTORY_SECTIONS`] order,
+    /// from fixed inputs on the default configuration.
+    fn sample_rows() -> Vec<TrajectoryRow> {
+        let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
         // Distinct per-tier instruction counts pin which tier each row's
         // `instrs` reports.
         let rates = TierRates {
@@ -1875,28 +1923,13 @@ mod tests {
             accesses: 73728,
             reps: 24,
         };
-        let edge = |wall_ms, wall_ms_ci95| ConnEdgeRate {
-            wall_ms,
-            wall_ms_ci95,
-            host_rps: 30_000.0,
-        };
-        let conn = ConnCost {
-            in_process: edge(48.664, 6.137),
-            socket: edge(61.409, 3.881),
-            slow_loris: edge(50.1, 2.51),
-            disconnect: edge(47.2, 2.26),
-            slo_within_bp: 9062,
-            servers: 32,
-            requests: 50,
-            reps: 12,
-        };
         vec![
-            restart_cost_row(&restart, &violation, &spec),
+            restart_cost_row(&sample_restart(), &sample_violation(), &spec),
             tier_rates_row(&DISPATCH_LOOP, &rates),
             access_cost_row(&access),
             tier_rates_row(&NATIVE_LOOP, &rates),
             tier_rates_row(&MEM_LOOP, &rates),
-            conn_cost_row(&conn, &spec),
+            conn_cost_row(&sample_conn(), &spec),
             mode_sweep_row(150, 0, 17, 4, 438298.64, &spec, &Edge::default()),
         ]
     }
@@ -2309,6 +2342,37 @@ mod tests {
                 tier_rates_row(&bench, &rates(24)).fingerprint
             );
         }
+        let (restart, violation) = (sample_restart(), sample_violation());
+        assert_ne!(
+            restart_cost_row(&RestartCost { reps: 8, ..restart }, &violation, &spec).fingerprint,
+            restart_cost_row(
+                &RestartCost {
+                    reps: 24,
+                    ..restart
+                },
+                &violation,
+                &spec
+            )
+            .fingerprint
+        );
+        assert_ne!(
+            conn_cost_row(
+                &ConnCost {
+                    reps: 24,
+                    ..sample_conn()
+                },
+                &spec
+            )
+            .fingerprint,
+            conn_cost_row(
+                &ConnCost {
+                    reps: 12,
+                    ..sample_conn()
+                },
+                &spec
+            )
+            .fingerprint
+        );
         let sweep = mode_sweep_row(150, 0, 17, 4, 1.0, &spec, &Edge::default()).fingerprint;
         assert_ne!(
             sweep,
@@ -2376,37 +2440,17 @@ mod tests {
         let base = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
         let table_lookup = base.with_lookup(LookupLayer::Table);
         let flat = base.with_table(TableKind::Flat);
-        let restart_cost = RestartCost {
-            cold_ns: 608620.4,
-            cold_ci95_ns: 11604.6,
-            restore_ns: 160841.25,
-            restore_ci95_ns: 5969.5,
-            reps: 24,
-        };
-        let violation = ViolationThroughput {
-            reps: 3,
-            ..rate(136.66, 3.04, 2100015)
-        };
+        let (restart_cost, violation) = (sample_restart(), sample_violation());
         for spec in [&table_lookup, &flat] {
             assert_ne!(
                 restart_cost_row(&restart_cost, &violation, spec).fingerprint,
                 restart.fingerprint
             );
         }
-        let edge = ConnEdgeRate {
-            wall_ms: 1.0,
-            wall_ms_ci95: 0.0,
-            host_rps: 1.0,
-        };
+        // Measured values stay out of the fingerprint.
         let conn_cost = ConnCost {
-            in_process: edge,
-            socket: edge,
-            slow_loris: edge,
-            disconnect: edge,
             slo_within_bp: 1,
-            servers: 32,
-            requests: 50,
-            reps: 12,
+            ..sample_conn()
         };
         assert_eq!(
             conn_cost_row(&conn_cost, &base).fingerprint,
